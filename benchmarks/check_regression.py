@@ -59,7 +59,6 @@ BENCH_FILES = (
     "benchmarks/bench_ablation_graphstore.py",
     "benchmarks/bench_micro_tracker.py",
     "benchmarks/bench_shard_pipeline.py",
-    "benchmarks/bench_event_engine.py",
     "benchmarks/bench_robustness_seeds.py::test_bench_fault_matrix_graceful_degradation",
     "benchmarks/bench_profiler_sketch.py",
     "benchmarks/bench_store_backend.py",

@@ -2,7 +2,7 @@
 
 Systematic state-space exploration of the fault subsystem (Clotho-style):
 :mod:`~repro.chaos.matrix` enumerates a deterministic seeded grid over
-fault profiles x windows x crash schedules x store/engine/profiler
+fault profiles x windows x crash schedules x store/profiler
 configurations; :mod:`~repro.chaos.runner` executes cells in parallel,
 evaluates the temporal invariants of :mod:`~repro.chaos.invariants`
 over each run's :class:`~repro.sim.tap.SimTap` event stream, and scores

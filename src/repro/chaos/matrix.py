@@ -10,8 +10,7 @@ Clotho's chaos matrix.  The grid is the cartesian product of
 * **fault windows** — ``[start, end)`` pairs whose ends land exactly on
   interval boundaries (the half-open ``active_at`` contract),
 * **crash schedules** — scheduled node-crash shapes,
-* **store configurations** — (shards, batch size) pairs,
-* **engines** — tick oracle and discrete-event fast path, and
+* **store configurations** — (shards, batch size) pairs, and
 * **profiler modes** — exact and topk precision tiers.
 
 Every cell is fully determined by its **grid index** plus the run-level
@@ -66,7 +65,7 @@ FAULT_PROFILES: Mapping[str, Mapping[str, float]] = {
 
 #: Fault windows: (start, end) minutes.  Both ends are exact interval
 #: boundaries so the sweep continuously exercises the half-open
-#: ``active_at`` edge in both engines.
+#: ``active_at`` edge.
 FAULT_WINDOWS: Tuple[Tuple[float, float], ...] = ((4.0, 16.0), (10.0, 28.0))
 
 #: Crash schedules: name -> ((minute, component, count), ...).
@@ -78,7 +77,6 @@ CRASH_SCHEDULES: Mapping[str, Tuple[Tuple[float, str, int], ...]] = {
 #: (num_shards, write_batch_size) pairs.
 STORE_CONFIGS: Tuple[Tuple[int, int], ...] = ((1, 1), (4, 32), (2, 8))
 
-ENGINES: Tuple[str, ...] = ("tick", "event")
 PROFILER_MODES: Tuple[str, ...] = ("exact", "topk")
 
 #: Axis iteration order (outermost first); the grid index encodes a cell
@@ -100,7 +98,6 @@ class ChaosCell:
     crash_schedule: str
     num_shards: int
     write_batch_size: int
-    engine: str
     profiler_mode: str
     # Run-level parameters (shared by every cell of one matrix).
     app: str = "hedwig"
@@ -128,7 +125,6 @@ class ChaosCell:
             "crash_schedule": self.crash_schedule,
             "num_shards": self.num_shards,
             "write_batch_size": self.write_batch_size,
-            "engine": self.engine,
             "profiler_mode": self.profiler_mode,
             "app": self.app,
             "manager": self.manager,
@@ -181,7 +177,7 @@ class ChaosMatrix:
 
     The full product currently spans ``len(FAULT_PROFILES) x
     len(FAULT_WINDOWS) x len(CRASH_SCHEDULES) x len(STORE_CONFIGS) x
-    len(ENGINES) x len(PROFILER_MODES)`` cells; :meth:`select` returns a
+    len(PROFILER_MODES)`` cells; :meth:`select` returns a
     size-bounded, evenly-strided subset that still touches every axis —
     the stride keeps coverage broad instead of exhausting the first axis
     first.
@@ -197,7 +193,6 @@ class ChaosMatrix:
             * len(FAULT_WINDOWS)
             * len(_CRASH_NAMES)
             * len(STORE_CONFIGS)
-            * len(ENGINES)
             * len(PROFILER_MODES)
         )
 
@@ -210,7 +205,6 @@ class ChaosMatrix:
             )
         idx = grid_index
         idx, mode_i = divmod(idx, len(PROFILER_MODES))
-        idx, engine_i = divmod(idx, len(ENGINES))
         idx, store_i = divmod(idx, len(STORE_CONFIGS))
         idx, crash_i = divmod(idx, len(_CRASH_NAMES))
         idx, window_i = divmod(idx, len(FAULT_WINDOWS))
@@ -226,7 +220,6 @@ class ChaosMatrix:
             crash_schedule=_CRASH_NAMES[crash_i],
             num_shards=shards,
             write_batch_size=batch,
-            engine=ENGINES[engine_i],
             profiler_mode=PROFILER_MODES[mode_i],
             app=cfg.app,
             manager=cfg.manager,

@@ -10,7 +10,7 @@ after the simulation finishes, while the tap stream is still local.
 The **telemetry digest** is the replay contract: a sha256 over the
 canonical JSON of every non-volatile metric in the run's snapshot
 (volatile keys — wall-clock timers and the uid-layout diagnostic — are
-excluded exactly as in the engine-parity oracle).  Two runs of the same
+excluded exactly as in the replay-parity oracle).  Two runs of the same
 cell id must produce byte-identical digests whether they execute in a
 pool worker, serially, or in a later ``repro chaos --replay`` process;
 ``tests/chaos/test_replay_determinism.py`` pins this across 25 seeds.
@@ -144,7 +144,6 @@ def run_cell(
         seed=cell.seed_for(repeat),
         num_shards=cell.num_shards,
         write_batch_size=cell.write_batch_size,
-        engine=cell.engine,
         profiler_mode=cell.profiler_mode,
         store_backend=store_backend,
         store_dir=store_dir,

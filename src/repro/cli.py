@@ -38,7 +38,6 @@ from repro.evalx.overhead import fig5_measurements
 from repro.evalx.reporting import fig5_table, fig8_table, format_table, sla_table
 from repro.profiling.profiler import PROFILER_MODES
 from repro.profiling.sketches import DEFAULT_TOPK_K
-from repro.sim.engine import ENGINES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_faults.add_argument(
         "--parity-diffs", metavar="DIR",
         help="instead of running a scenario, load and summarise the "
-        "engine-parity diff artifacts under DIR (malformed or empty "
+        "replay-parity diff artifacts under DIR (malformed or empty "
         "artifacts are a hard error, not a silent pass)",
     )
     _add_store_options(p_faults)
@@ -229,11 +228,6 @@ def _add_store_options(parser: argparse.ArgumentParser) -> None:
         help="store-write batch size (1 = unbatched writes)",
     )
     parser.add_argument(
-        "--engine", choices=ENGINES, default="tick",
-        help="run-loop implementation: the fixed-tick oracle or the "
-        "discrete-event fast path (bit-identical results per seed)",
-    )
-    parser.add_argument(
         "--profiler-mode", choices=PROFILER_MODES, default="exact",
         help="profiler precision tier: exact per-path buckets (default), "
         "space-saving top-k + count-min tail (bounded memory), or "
@@ -262,7 +256,6 @@ def _experiment_config(args) -> ExperimentConfig:
         seed=args.seed,
         num_shards=getattr(args, "shards", 1),
         write_batch_size=getattr(args, "batch_size", 1),
-        engine=getattr(args, "engine", "tick"),
         profiler_mode=getattr(args, "profiler_mode", "exact"),
         profiler_topk=getattr(args, "profiler_topk", DEFAULT_TOPK_K),
         store_backend=getattr(args, "store_backend", "memory"),
@@ -410,7 +403,7 @@ def _cmd_faults(args) -> int:
 
 
 def _report_parity_diffs(target: str) -> int:
-    """Summarise dumped engine-parity artifacts; bad input is a hard error."""
+    """Summarise dumped replay-parity artifacts; bad input is a hard error."""
     from repro.sim.parity import scan_parity_diff_dir
 
     reports = scan_parity_diff_dir(target)
@@ -465,7 +458,7 @@ def _cmd_chaos(args) -> int:
         )
         print(f"  {cell.fault_profile} window=[{cell.start_minute},{cell.end_minute}) "
               f"crashes={cell.crash_schedule} shards={cell.num_shards} "
-              f"batch={cell.write_batch_size} engine={cell.engine} "
+              f"batch={cell.write_batch_size} "
               f"profiler={cell.profiler_mode}")
         print(f"  telemetry digest : {result.telemetry_digest}")
         if args.expect_digest:
@@ -483,8 +476,7 @@ def _cmd_chaos(args) -> int:
                 f"{cell.cell_id}  {cell.fault_profile:14s} "
                 f"[{cell.start_minute:>4g},{cell.end_minute:>4g}) "
                 f"crashes={cell.crash_schedule:4s} shards={cell.num_shards} "
-                f"batch={cell.write_batch_size:<3d} {cell.engine:5s} "
-                f"{cell.profiler_mode}"
+                f"batch={cell.write_batch_size:<3d} {cell.profiler_mode}"
             )
         print(f"{len(cells)} cell(s) of {matrix.total_cells} in the full grid")
         return 0
@@ -529,8 +521,7 @@ def _cmd_chaos(args) -> int:
             f"  [{status}] {cell.cell_id}  {cell.fault_profile:14s} "
             f"[{cell.start_minute:>4g},{cell.end_minute:>4g}) "
             f"crashes={cell.crash_schedule:4s} shards={cell.num_shards} "
-            f"batch={cell.write_batch_size:<3d} {cell.engine:5s} "
-            f"{cell.profiler_mode:5s} "
+            f"batch={cell.write_batch_size:<3d} {cell.profiler_mode:5s} "
             f"rel={score.adjusted_rate:.2f} "
             f"ci=[{score.ci_low:.2f},{score.ci_high:.2f}]"
         )

@@ -226,7 +226,7 @@ class DirectCausalityTracker:
 
     @property
     def supports_snapshot_replay(self) -> bool:
-        """Whether the event engine may replay converged ingestion deltas.
+        """Whether converged replay may stand in for this tracker's ingestion.
 
         The replay fast path freezes a converged per-execution telemetry
         delta and stops feeding the store, so it is only sound when no
@@ -280,14 +280,14 @@ class DirectCausalityTracker:
     def drain_pipeline(self) -> int:
         """Flush buffered writes and the journal; return messages written.
 
-        The replay cutover barrier: called by the event engine's
+        The replay cutover barrier: called by
         :meth:`~repro.sim.events.ReplayIngestor._freeze_all` *before*
         any class delta is frozen, so every write submitted during
         warmup reaches the store — and, on journaling backends, the
         durable log's flush point — ahead of the moment ingestion stops
         feeding the store.  Deliberately leaves the pipeline's flush
         timer untouched (``flush(now_minutes=None)``) so the periodic
-        tick schedule stays bit-identical to the tick engine's.
+        tick schedule stays bit-identical to live ingestion's.
         """
         written = 0
         if self._pipeline is not None:
@@ -297,28 +297,6 @@ class DirectCausalityTracker:
             if flush_journal is not None:
                 flush_journal()
         return written
-
-    def next_delayed_due_minutes(self) -> Optional[float]:
-        """Earliest due time among fault-delayed messages, or ``None``.
-
-        The event engine polls this after each interval to schedule a
-        delivery event at the interval boundary the due time lands on.
-        """
-        if not self._delayed:
-            return None
-        return min(eta for eta, _ in self._delayed)
-
-    def deliver_delayed(self, now_minutes: float) -> None:
-        """Deliver fault-delayed messages due at ``now_minutes``.
-
-        Event-engine entry point: advances the tracker clock and runs
-        only the delayed-delivery slice of the maintenance pass, so a
-        delivery event at an interval boundary reproduces exactly what
-        the tick loop's :meth:`advance_to` would have done there.
-        """
-        self._now_minutes = float(now_minutes)
-        if self._delayed:
-            self._deliver_due()
 
     def advance_to(self, time_minutes: float) -> None:
         """Advance the tracker clock and run the maintenance pass.

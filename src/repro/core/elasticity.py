@@ -134,8 +134,8 @@ class ProfileStalenessDetector:
         self.telemetry = registry if registry is not None else profiler.telemetry
         self.engaged = False
         #: Precision tier the profiler is dropped to while engaged
-        #: (``None`` = never touch the profiler's mode).  The event
-        #: engine checks this when deciding replay eligibility.
+        #: (``None`` = never touch the profiler's mode).  Replay
+        #: eligibility checks it.
         self.downshift_mode = policy.downshift_mode
         self._downshifted = False
         self._stale_streak = 0

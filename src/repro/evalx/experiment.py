@@ -31,7 +31,7 @@ from repro.faults.plan import FaultPlan
 from repro.graphstore.backend import BACKENDS as STORE_BACKENDS
 from repro.profiling.profiler import PROFILER_MODES, CausalPathProfiler
 from repro.profiling.sketches import DEFAULT_TOPK_K
-from repro.sim.engine import ENGINES, ClusterSimulator, DCABundle, SimulationConfig
+from repro.sim.engine import ClusterSimulator, DCABundle, SimulationConfig
 from repro.sim.metrics import SimulationResult
 from repro.telemetry import MetricsRegistry, get_registry
 from repro.tracing.htrace import HTraceCollector
@@ -69,9 +69,6 @@ class ExperimentConfig:
     num_shards: int = 1
     #: Store-write batch size (1 = unbatched writes, the old behaviour).
     write_batch_size: int = 1
-    #: Run-loop implementation: "tick" (the oracle) or "event" (the
-    #: discrete-event fast path); both are bit-identical per seed.
-    engine: str = "tick"
     #: Profiler precision tier ("exact", "topk", "component") and
     #: space-saving summary size for the topk tier.
     profiler_mode: str = "exact"
@@ -94,8 +91,6 @@ class ExperimentConfig:
             raise EvaluationError(
                 f"write_batch_size must be >= 1, got {self.write_batch_size}"
             )
-        if self.engine not in ENGINES:
-            raise EvaluationError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if self.profiler_mode not in PROFILER_MODES:
             raise EvaluationError(
                 f"profiler_mode must be one of {PROFILER_MODES}, got {self.profiler_mode!r}"
@@ -109,7 +104,6 @@ class ExperimentConfig:
         if self.store_backend == "log" and self.store_dir is None:
             raise EvaluationError("store_backend 'log' requires store_dir")
         self.sim.duration_minutes = self.duration_minutes
-        self.sim.engine = self.engine
         self.sim.profiler_mode = self.profiler_mode
         self.sim.profiler_topk = self.profiler_topk
         self.sim.store_backend = self.store_backend

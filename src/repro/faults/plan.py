@@ -112,14 +112,13 @@ class FaultPlan:
         end_minute)``.  A roll at exactly ``end_minute`` is *outside* the
         window — the outage has ended and recovery machinery (retry
         success, staleness re-engagement) must see a healthy system at
-        that boundary.  Both engines evaluate this at the same clock
-        values: the tick loop calls ``advance_to`` at interval
-        boundaries, and the event engine snaps crash/delivery timestamps
-        *up* to those same boundaries before rolling any channel
-        (``EventDrivenRunner._snap_up``), so a window ending exactly on
-        a boundary can neither double-fire nor silently skip faults at
-        the edge.  ``tests/faults/test_window_boundaries.py`` pins this
-        at exact boundary minutes under both engines.  Scheduled node
+        that boundary.  The simulator only rolls channels, delivers
+        delayed messages and fires scheduled crashes at interval
+        boundaries (the tick loop calls ``advance_to`` there; there is
+        no mid-interval event), so a window ending exactly on a boundary
+        can neither double-fire nor silently skip faults at the edge.
+        ``tests/faults/test_window_boundaries.py`` pins this at exact
+        boundary minutes, with replay on and off.  Scheduled node
         crashes deliberately ignore the window (see
         :meth:`FaultInjector.node_crashes_due`).
         """

@@ -25,6 +25,7 @@ Execution modes:
 from __future__ import annotations
 
 import heapq
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import InterpreterError
@@ -50,6 +51,7 @@ from repro.lang.message import Message, MessageUid, UidFactory
 
 Taint = FrozenSet[MessageUid]
 EMPTY_TAINT: Taint = frozenset()
+_UID_KEY = attrgetter("key")
 
 
 def _cap_taint(taint: Taint, limit: int) -> Taint:
@@ -64,8 +66,9 @@ def _cap_taint(taint: Taint, limit: int) -> Taint:
     if len(taint) <= limit:
         return taint
     # nlargest avoids sorting the whole (potentially large) set just to
-    # keep its tail.
-    return frozenset(heapq.nlargest(limit, taint))
+    # keep its tail; keying on the stored tuple skips the Python-level
+    # rich comparisons (uids in a set are distinct, so no ties).
+    return frozenset(heapq.nlargest(limit, taint, key=_UID_KEY))
 
 
 class ReplicaState:

@@ -30,20 +30,24 @@ class MessageUid:
     triple.  ``address`` is a simulated host address, ``process_id`` the
     simulated process, and ``seq`` a per-process counter.
 
-    Instances are immutable; ``_hash`` is computed once at construction
-    (uids are hashed on every graph-store and taint-set operation) and
-    ``_crc`` lazily caches the stable partition hash the
+    Instances are immutable; ``key`` (the triple as a tuple, which is
+    also the total order on uids) and ``_hash`` are computed once at
+    construction — uids are hashed on every graph-store and taint-set
+    operation and ordered by every provenance cap — and ``_crc`` lazily
+    caches the stable partition hash the
     :class:`~repro.graphstore.partition.HashPartitioner` derives from the
     triple.
     """
 
-    __slots__ = ("address", "process_id", "seq", "_hash", "_crc")
+    __slots__ = ("address", "process_id", "seq", "key", "_hash", "_crc")
 
     def __init__(self, address: str, process_id: int, seq: int) -> None:
+        key = (address, process_id, seq)
         object.__setattr__(self, "address", address)
         object.__setattr__(self, "process_id", process_id)
         object.__setattr__(self, "seq", seq)
-        object.__setattr__(self, "_hash", hash((address, process_id, seq)))
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "_crc", None)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -75,20 +79,17 @@ class MessageUid:
             return result
         return not result
 
-    def _key(self):
-        return (self.address, self.process_id, self.seq)
-
     def __lt__(self, other: "MessageUid") -> bool:
-        return self._key() < other._key()
+        return self.key < other.key
 
     def __le__(self, other: "MessageUid") -> bool:
-        return self._key() <= other._key()
+        return self.key <= other.key
 
     def __gt__(self, other: "MessageUid") -> bool:
-        return self._key() > other._key()
+        return self.key > other.key
 
     def __ge__(self, other: "MessageUid") -> bool:
-        return self._key() >= other._key()
+        return self.key >= other.key
 
     def __repr__(self) -> str:
         return f"MessageUid(address={self.address!r}, process_id={self.process_id!r}, seq={self.seq!r})"

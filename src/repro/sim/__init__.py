@@ -1,15 +1,10 @@
 """Discrete-time cluster simulator (the paper's testbed substitute)."""
 
 from repro.sim.cluster import Cluster, ComponentGroup, DeploymentSpec
-from repro.sim.engine import ENGINES, ClusterSimulator, DCABundle, SimulationConfig
-from repro.sim.events import (
-    EventDrivenRunner,
-    EventQueue,
-    ReplayIngestor,
-    is_volatile_metric_key,
-)
+from repro.sim.engine import ClusterSimulator, DCABundle, SimulationConfig
+from repro.sim.events import ReplayIngestor, is_volatile_metric_key
 from repro.sim.metrics import ComponentInterval, IntervalRecord, SimulationResult
-from repro.sim.parity import ParityReport, diff_results, diff_snapshots, run_engine_parity
+from repro.sim.parity import ParityReport, diff_results, diff_snapshots, run_replay_parity
 from repro.sim.queueing import (
     StationInterval,
     latency_inflation,
@@ -28,9 +23,6 @@ __all__ = [
     "ComponentInterval",
     "DCABundle",
     "DeploymentSpec",
-    "ENGINES",
-    "EventDrivenRunner",
-    "EventQueue",
     "IntervalRecord",
     "ParityReport",
     "ReplayIngestor",
@@ -46,7 +38,7 @@ __all__ = [
     "is_volatile_metric_key",
     "latency_inflation",
     "nodes_required",
-    "run_engine_parity",
+    "run_replay_parity",
     "serve_interval",
     "utilization",
 ]

@@ -3,10 +3,13 @@
 Each simulated minute the engine:
 
 1. matures provisioning actions (S3),
-2. draws per-class external arrivals from the workload generator,
+2. takes its per-class external arrivals (the whole schedule is drawn
+   from the workload generator before the first interval),
 3. runs the DCA machinery for the sampled slice of traffic — live
    message-level traces through the instrumented components feed the
-   graph store, whose completed causal graphs increment the profiler,
+   graph store, whose completed causal graphs increment the profiler;
+   once every request class has converged, eligible runs replay the
+   traces' frozen effects instead (:mod:`repro.sim.events`),
 4. computes per-component offered demand (base + instrumentation
    overhead), serves it through the queueing model, and derives
    utilisation, latency and SLA outcomes (S1),
@@ -50,6 +53,7 @@ from repro.lang.ir import Application
 from repro.profiling.profiler import PROFILER_MODES, CausalPathProfiler
 from repro.profiling.sketches import DEFAULT_TOPK_K
 from repro.sim.cluster import Cluster, DeploymentSpec
+from repro.sim.events import ReplayIngestor
 from repro.sim.metrics import ComponentInterval, IntervalRecord, SimulationResult
 from repro.sim.queueing import nodes_required, serve_interval
 from repro.sim.runtime import ApplicationRuntime, RequestTrace
@@ -63,10 +67,6 @@ from repro.workloads.generator import WorkloadGenerator
 #: :meth:`ClusterSimulator._inject_failures`), so non-unit intervals stay
 #: statistically correct.
 INTERVAL_MINUTES = 1.0
-
-#: The two run-loop implementations: the fixed-tick oracle and the
-#: discrete-event engine (:mod:`repro.sim.events`).
-ENGINES = ("tick", "event")
 
 
 @dataclass
@@ -84,11 +84,11 @@ class SimulationConfig:
     max_live_traces_per_class: int = 1
     node_failure_rate_per_min: float = 0.0
     failure_seed: int = 0
-    #: Which run loop drives the simulation: the fixed-tick oracle or the
-    #: discrete-event engine.  Both produce bit-identical results (the
-    #: ``engine-parity`` CI job enforces it); the event engine is the
-    #: fast path.
-    engine: str = "tick"
+    #: Ingest DCA traffic through converged replay wherever
+    #: :meth:`~repro.sim.events.ReplayIngestor.eligible` holds.  ``False``
+    #: selects live ingestion everywhere: the reference oracle that
+    #: :func:`~repro.sim.parity.run_replay_parity` checks replay against.
+    replay: bool = True
     #: Length of one observation interval in simulated minutes.  All
     #: per-minute rates are converted through this value.
     interval_minutes: float = INTERVAL_MINUTES
@@ -125,10 +125,6 @@ class SimulationConfig:
             # so the two coincide only while intervals are one minute long.
             raise SimulationError(
                 f"node_failure_rate_per_min must be in [0, 1), got {self.node_failure_rate_per_min}"
-            )
-        if self.engine not in ENGINES:
-            raise SimulationError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
         if self.interval_minutes <= 0:
             raise SimulationError(
@@ -381,6 +377,8 @@ class ClusterSimulator:
         # exposure window is one full interval, exactly as before.
         self._last_failure_roll = -self.config.interval_minutes
         self._sla_ms = self._resolve_sla()
+        #: The run's replay ingestor; ``None`` while ingestion is live.
+        self.ingestor: Optional[ReplayIngestor] = None
 
     # -- setup -----------------------------------------------------------------
 
@@ -414,20 +412,34 @@ class ClusterSimulator:
 
     def run(self) -> SimulationResult:
         try:
-            if self.config.engine == "event":
-                from repro.sim.events import EventDrivenRunner
-
-                runner = EventDrivenRunner(self)
-                # Kept for introspection (tests, benchmarks, CLI stats).
-                self.event_runner = runner
-                return runner.run()
             result = SimulationResult(manager_name=self.manager.name, application=self.app.name)
             interval = self.config.interval_minutes
-            for k in range(self.config.num_intervals):
-                self.run_interval(k * interval, result)
+            boundaries = [k * interval for k in range(self.config.num_intervals)]
+            # Drawn up front with the scalar calls, class order and zero-rate
+            # skips of a per-interval draw, so the seeded stream is unchanged;
+            # replay needs the schedule to know which classes ever execute.
+            schedule = [self.generator.arrivals(t) for t in boundaries]
+            ingest = self._run_dca_tick
+            if self.config.replay and ReplayIngestor.eligible(self):
+                active = {
+                    name for arrivals in schedule for name, count in arrivals.items() if count > 0
+                }
+                self.ingestor = ReplayIngestor(self, active_classes=active)
+                ingest = self.ingestor.ingest
+            for now, arrivals in zip(boundaries, schedule):
+                self.run_interval(now, result, arrivals, ingest)
             return result
         finally:
             self._close_store()
+
+    @property
+    def event_runner(self) -> "ClusterSimulator":
+        """Alias of the simulator itself.
+
+        ``e2ebench/workloads.py`` reads the replay counters at
+        ``simulator.event_runner.ingestor``, so that path keeps resolving.
+        """
+        return self
 
     def _close_store(self) -> None:
         """Release the graph store's backend at end of run.
@@ -448,20 +460,17 @@ class ClusterSimulator:
         self,
         now: float,
         result: SimulationResult,
-        ingestor=None,
-        arrivals: Optional[Mapping[str, int]] = None,
+        arrivals: Mapping[str, int],
+        ingest,
     ) -> None:
         """Run one full observation interval at ``now`` and record it.
 
-        This is the shared superstep of both engines: the tick loop calls
-        it at every boundary; the event engine calls it from its
-        interval-boundary events (optionally swapping the DCA
-        ``ingestor`` for its replay fast path and supplying pre-drawn
-        ``arrivals``).  Keeping one body guarantees tick/event parity by
-        construction for everything outside DCA ingestion.
+        ``arrivals`` are the interval's pre-drawn per-class arrivals;
+        ``ingest(now, arrivals)`` is the run's DCA ingestion — live
+        (:meth:`_run_dca_tick`) or :meth:`~repro.sim.events.ReplayIngestor.ingest`.
         """
         with self._step_timer:
-            record, observation = self._step(now, ingestor=ingestor, arrivals=arrivals)
+            record, observation = self._step(now, arrivals, ingest)
             result.append(record)
             decision = self.manager.decide(observation)
             self.manager.on_interval_end(observation)
@@ -473,10 +482,7 @@ class ClusterSimulator:
         self.manager.record_decision(observation, decision)
 
     def _step(
-        self,
-        now: float,
-        ingestor=None,
-        arrivals: Optional[Mapping[str, int]] = None,
+        self, now: float, arrivals: Mapping[str, int], ingest
     ) -> Tuple[IntervalRecord, ClusterObservation]:
         if self.tap is not None:
             self.tap.now = now
@@ -486,11 +492,8 @@ class ClusterSimulator:
             for comp, count in sorted(self.faults.node_crashes_due(now).items()):
                 self.nodes_failed_total += self.cluster.fail_component(comp, count)
         self._inject_failures(now)
-        if arrivals is None:
-            arrivals = self.generator.arrivals(now)
         total_arrivals = float(sum(arrivals.values()))
 
-        ingest = ingestor if ingestor is not None else self._run_dca_tick
         sampled_by_class = ingest(now, arrivals)
         base_demand, overhead, comp_arrivals = self._compute_demand(arrivals, sampled_by_class)
 
@@ -542,7 +545,7 @@ class ClusterSimulator:
         actually elapsed on the simulation clock since the previous roll,
         ``p = 1 - (1 - rate) ** dt`` — identical to the raw rate under
         the one-minute tick loop (``dt`` is then always 1.0), and still
-        correct for any ``interval_minutes`` or event schedule.
+        correct for any ``interval_minutes``.
         """
         rate = self.config.node_failure_rate_per_min
         if rate <= 0:
@@ -586,8 +589,8 @@ class ClusterSimulator:
 
         The sampler draws happen here, in sorted-class order, so the
         seeded sampling streams are identical no matter which
-        ``ingest_class`` strategy (live execution or the event engine's
-        converged replay) consumes the counts.
+        ``ingest_class`` strategy (live execution or converged replay)
+        consumes the counts.
         """
         sampled: Dict[str, int] = {}
         if self.dca is None:

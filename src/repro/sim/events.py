@@ -1,39 +1,28 @@
-"""The discrete-event simulation engine.
+"""Converged replay: the fast DCA ingestion strategy of the tick loop.
 
 The tick loop (:meth:`~repro.sim.engine.ClusterSimulator.run`) walks
-every interval boundary and re-executes every sampled request through
-the real interpreters.  That is the *oracle*: simple, obviously
-faithful, and O(duration x sampled traffic).  This module is the fast
-path: a priority queue of timestamped events — interval boundaries,
-replica start/stop completions, scheduled node crashes, fault-delayed
-message deliveries — drained in timestamp order, plus a *converged
-replay* fast path that stops re-executing a request class once its
-per-execution effects have provably stopped changing.
+every interval boundary and, by default, re-executes every sampled
+request through the real interpreters.  Most of that work re-runs
+request classes whose per-execution causal effects have stopped
+changing; the profiler only needs the *counts* of those executions.
+:class:`ReplayIngestor` is the ingestion strategy that stops
+re-executing them.  The tick loop builds one per run when
+:meth:`ReplayIngestor.eligible` holds and
+:attr:`~repro.sim.engine.SimulationConfig.replay` is on; otherwise it
+ingests live, and live ingestion stays the reference oracle.
 
 Parity contract
 ---------------
 
-For any seeded configuration, ``engine="event"`` must produce results
-**bit-identical** to ``engine="tick"``: the same ``IntervalRecord``
-stream, the same telemetry snapshot (modulo the volatile keys below),
-the same fault/recovery counters.  CI's ``engine-parity`` job enforces
-this on every scenario.  The design rules that make it hold:
-
-* Both engines share one superstep
-  (:meth:`~repro.sim.engine.ClusterSimulator.run_interval`), so
-  everything outside DCA ingestion is identical by construction.
-* Arrivals are pre-drawn with the exact scalar RNG calls of the tick
-  loop (:meth:`~repro.workloads.generator.WorkloadGenerator.arrivals_series`).
-* Every fault channel draws from its own seeded RNG stream, so events
-  that only touch disjoint channels may be reordered freely; events on
-  the *same* channel keep their tick-relative order.
-* Mid-interval events whose effects the tick loop would only apply at
-  the next boundary — scheduled node crashes batched by
-  ``node_crashes_due`` and fault-delayed deliveries performed by
-  ``advance_to`` — are *snapped up* to that boundary, with a queue
-  priority that reproduces the tick loop's intra-boundary order.
-* Replica start/stop completions fire at their exact ETA; nothing reads
-  cluster state between boundaries, so early maturation is unobservable.
+For any seeded configuration, replay-on must produce results
+**bit-identical** to replay-off (live ingestion): the same
+``IntervalRecord`` stream and the same telemetry snapshot, modulo the
+volatile keys below.  :func:`~repro.sim.parity.run_replay_parity`
+enforces it.  It holds because the ingestor only swaps the per-class
+execution step of
+:meth:`~repro.sim.engine.ClusterSimulator._dca_tick`: sampling draws,
+arrivals and everything outside DCA ingestion run the same code either
+way.
 
 Volatile telemetry keys — excluded from parity comparison *and* from
 replay capture:
@@ -43,13 +32,14 @@ replay capture:
 * ``graphstore.cross_partition_edges``: a uid-hash *layout* diagnostic
   whose value depends on stale provenance uids retained by capped
   per-node cause sets — it varies a few counts per execution forever
-  and cannot converge by design.
+  and cannot converge by design;
+* ``graphstore.backend_*``: persistence-seam diagnostics.
 
-Converged replay
-----------------
+Warmup and cutover
+------------------
 
 During warmup every live trace of every class is executed for real
-while the engine records (a) the per-execution telemetry delta
+while the ingestor records (a) the per-execution telemetry delta
 (captured by diffing the registry around the execution), (b) the
 trace's uid-free
 :meth:`~repro.sim.runtime.RequestTrace.structural_fingerprint`, and
@@ -58,25 +48,28 @@ the execution left behind in the write machinery (pipeline buffer
 depth, pending completions, dead-letter depth, net store growth).
 Cutover is **global and atomic**: only once *every* active class has
 shown :data:`REPLAY_CONVERGENCE_STREAK` consecutive executions with an
-identical delta, fingerprint, *and* residue does the engine freeze
+identical delta, fingerprint, *and* residue does the ingestor freeze
 them all — after first draining the batched write pipeline (journal
 flush included) so no buffered write is stranded by the freeze.
 Per-class cutover would be unsound — request classes share replica
 state (uid factories, provenance taints, component caches), so
 skipping one class's executions perturbs the traces of classes still
-executing.  Until the global cutover the event engine's ingestion is
-*exactly* the tick loop's; after it, each "execution" applies the
-frozen delta directly (counter increments, gauge sets, histogram
-bucket merges — all integral, so float sums stay exact) and feeds the
-profiler through the same
-:meth:`~repro.profiling.profiler.CausalPathProfiler.record` call the
-tick loop makes.  The streak is deliberately long: measured workloads
+executing.  Until the cutover, ingestion is *exactly* the live path;
+after it, each "execution" applies the frozen delta directly (counter
+increments, gauge sets, histogram bucket merges — all integral, so
+float sums stay exact) and feeds the profiler through the same
+:meth:`~repro.profiling.profiler.CausalPathProfiler.record` call live
+ingestion makes.  The streak is deliberately long: measured workloads
 show per-class transients of up to 30 executions (capped provenance
 sets filling) before the per-execution effects settle, so the
 threshold must comfortably exceed them.
 
-Replay is only eligible when ingestion is pure counting — no fault
-injector, no path timeout, a memory-backend store
+Eligibility
+-----------
+
+:meth:`ReplayIngestor.eligible` is the one rule: ingestion must be pure
+counting — a DCA bundle, no fault injector, no path timeout, a
+memory-backend store
 (:attr:`~repro.core.causal_graph.DirectCausalityTracker.supports_snapshot_replay`),
 and an ``exact``-mode profiler whose manager cannot downshift it into a
 sketch mode mid-run (batched replayed ``profiler.record`` ops are
@@ -85,36 +78,15 @@ promotion/eviction order).  Sharded stores and the batched write
 pipeline are eligible: ``observe_all`` drains the pipeline at the end
 of every execution, so per-execution batch telemetry is a
 deterministic function of the converged trace shape and the buffers
-are empty at the cutover (the freeze drains them once more,
-defensively, before any delta is frozen).  Shard routing is
-uid-hash-dependent, but no non-volatile metric is keyed per shard;
-hash-variant aggregates are declared volatile above, and any other
-unsettled metric can only hold the convergence streak at zero — it can
-never diverge after a freeze.  Ineligible configurations still run
-under the event engine, with full-fidelity ingestion that is literally
-the tick loop's code.
+are empty at the cutover.  Shard routing is uid-hash-dependent, but no
+non-volatile metric is keyed per shard; hash-variant aggregates are
+declared volatile above, and any other unsettled metric can only hold
+the convergence streak at zero — it can never diverge after a freeze.
 """
 
 from __future__ import annotations
 
-import math
-from heapq import heappop, heappush
-from itertools import count as _counter
-from typing import Dict, List, Optional, Tuple
-
-from repro.sim.metrics import SimulationResult
-
-# -- intra-timestamp event priorities -----------------------------------------
-#
-# Events at the same timestamp drain in priority order; the order mirrors
-# the tick loop's intra-boundary sequence (cluster.advance, then node
-# crashes, then delayed deliveries inside tracker.advance_to, then the
-# interval body).
-
-P_CLUSTER_TRANSITION = 0
-P_NODE_CRASH = 1
-P_DELAYED_DELIVERY = 2
-P_INTERVAL = 3
+from typing import Dict, List, Optional
 
 #: Consecutive identical (delta, fingerprint) executions required before
 #: a class cuts over to replay.  Must exceed the longest false plateau
@@ -159,48 +131,13 @@ def metric_base_name(key: str) -> str:
 
 
 def is_volatile_metric_key(key: str) -> bool:
-    """Whether ``key`` is excluded from the tick/event parity contract."""
+    """Whether ``key`` is excluded from the replay parity contract."""
     base = metric_base_name(key)
     return (
         base.endswith(VOLATILE_METRIC_SUFFIX)
         or base.startswith(VOLATILE_METRIC_PREFIX)
         or base in VOLATILE_METRIC_KEYS
     )
-
-
-class EventQueue:
-    """Min-heap of timestamped events with a deterministic tiebreak.
-
-    Events order by ``(time, priority, seq)``: ``seq`` is a monotonically
-    increasing insertion counter, so events equal in time and priority
-    drain in insertion order and the schedule is fully deterministic —
-    payloads are never compared.
-    """
-
-    __slots__ = ("_heap", "_seq", "pushed")
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, int, str, object]] = []
-        self._seq = _counter()
-        self.pushed = 0
-
-    def push(self, time: float, priority: int, kind: str, data: object = None) -> None:
-        heappush(self._heap, (float(time), int(priority), next(self._seq), kind, data))
-        self.pushed += 1
-
-    def pop(self) -> Optional[Tuple[float, int, int, str, object]]:
-        if not self._heap:
-            return None
-        return heappop(self._heap)
-
-    def peek_time(self) -> Optional[float]:
-        return self._heap[0][0] if self._heap else None
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
 
 
 # -- telemetry capture for converged replay -----------------------------------
@@ -342,26 +279,29 @@ class ReplayIngestor:
     atomic — see the module docstring).
 
     ``active_classes`` is the set of class names with any arrivals in
-    the run's schedule; classes that never receive traffic cannot
-    execute in either engine and must not block the cutover.
+    the run's schedule; classes that never receive traffic never
+    execute and must not block the cutover.
     """
 
+    @staticmethod
+    def eligible(sim) -> bool:
+        """Whether ``sim``'s DCA ingestion may be replayed (the one rule)."""
+        return (
+            sim.dca is not None
+            and sim.faults is None
+            and sim.dca.fault_injector is None
+            # Covers the path timeout and the memory-backend requirement.
+            and sim.dca.tracker.supports_snapshot_replay
+            and sim.dca.profiler.mode == "exact"
+            and _manager_downshift_mode(sim.manager) is None
+        )
+
     def __init__(self, sim, active_classes=None) -> None:
-        if sim.dca is None:
-            raise ValueError("ReplayIngestor requires a DCA bundle")
-        if sim.faults is not None or sim.dca.fault_injector is not None:
-            raise ValueError("ReplayIngestor requires a fault-free configuration")
-        if not sim.dca.tracker.supports_snapshot_replay:
-            raise ValueError("tracker configuration does not support snapshot replay")
-        if sim.dca.profiler.mode != "exact":
-            # Frozen record ops replay as one batched profiler.record per
-            # logical execution; that is additive for exact buckets but
-            # changes space-saving promotion/eviction order in sketch
-            # modes, so sketch-mode runs keep full-fidelity ingestion.
-            raise ValueError("ReplayIngestor requires the exact profiler mode")
-        if _manager_downshift_mode(sim.manager) is not None:
+        if not self.eligible(sim):
             raise ValueError(
-                "ReplayIngestor cannot run with a staleness precision downshift configured"
+                "configuration is not eligible for snapshot replay: it needs a "
+                "fault-free DCA run on a memory-backend store with an exact "
+                "profiler and no staleness precision downshift"
             )
         self.sim = sim
         self.registry = sim.telemetry
@@ -409,7 +349,7 @@ class ReplayIngestor:
         remainder: int,
         now: float,
     ) -> None:
-        """Execute for real (exactly the tick loop), recording deltas."""
+        """Execute for real (exactly live ingestion), recording deltas."""
         sim = self.sim
         request = sim.generator.classes[class_name]
         tracker = sim.dca.tracker
@@ -459,7 +399,7 @@ class ReplayIngestor:
             nodes_before = nodes_after
         self.live_executions += live
         if remainder > 0 and last_trace is not None:
-            # Same shortcut as the tick loop (no injector by construction).
+            # Same shortcut as live ingestion (no injector by construction).
             sim.dca.profiler.record(last_trace.signature, now, count=remainder)
 
     def _freeze_all(self, now: float) -> None:
@@ -533,139 +473,6 @@ class ReplayIngestor:
         for signature, count in state.record_ops:
             profiler.record(signature, now, count=count * live)
         if remainder > 0:
-            # The tick loop's shortcut: remaining sampled requests of
+            # Live ingestion's shortcut: remaining sampled requests of
             # the class follow the last live trace's path.
             profiler.record(state.signature, now, count=remainder)
-
-
-class EventDrivenRunner:
-    """Drains the event queue for one simulation run.
-
-    Built by :meth:`ClusterSimulator.run` when ``config.engine`` is
-    ``"event"``; owns the queue, the follow-up scheduling rules, and the
-    optional replay ingestor.
-    """
-
-    def __init__(self, sim) -> None:
-        self.sim = sim
-        self.queue = EventQueue()
-        self.events_processed: Dict[str, int] = {
-            "interval": 0,
-            "cluster-transition": 0,
-            "node-crash": 0,
-            "delayed-delivery": 0,
-        }
-        self._transition_times: set = set()
-        self._delivery_times: set = set()
-        #: Built lazily in :meth:`run` once the arrival schedule (and
-        #: with it the set of classes that ever receive traffic) is known.
-        self.ingestor: Optional[ReplayIngestor] = None
-        self._replay_eligible = (
-            sim.dca is not None
-            and sim.faults is None
-            and sim.dca.fault_injector is None
-            and sim.dca.tracker.supports_snapshot_replay
-            # Sketch-mode profilers (and managers that may downshift into
-            # one mid-run) are ineligible: batched replayed record ops
-            # would not compose with space-saving promotion order.  Such
-            # runs still use the event engine with full-fidelity
-            # ingestion — literally the tick loop's code.
-            and sim.dca.profiler.mode == "exact"
-            and _manager_downshift_mode(sim.manager) is None
-        )
-
-    # -- boundary snapping ------------------------------------------------------
-
-    def _snap_up(self, t: float) -> float:
-        """First interval boundary at or after ``t`` (clamped at 0)."""
-        interval = self.sim.config.interval_minutes
-        k = math.ceil(t / interval - 1e-9)
-        return max(0.0, k * interval)
-
-    # -- run loop ---------------------------------------------------------------
-
-    def run(self) -> SimulationResult:
-        sim = self.sim
-        cfg = sim.config
-        result = SimulationResult(manager_name=sim.manager.name, application=sim.app.name)
-        interval = cfg.interval_minutes
-        n = cfg.num_intervals
-        horizon = (n - 1) * interval
-        boundaries = [k * interval for k in range(n)]
-        arrivals = sim.generator.arrivals_series(boundaries)
-        if self._replay_eligible:
-            active = {
-                name
-                for per_interval in arrivals
-                for name, arrived in per_interval.items()
-                if arrived > 0
-            }
-            self.ingestor = ReplayIngestor(sim, active_classes=active)
-        for k, t in enumerate(boundaries):
-            self.queue.push(t, P_INTERVAL, "interval", k)
-        if sim.faults is not None:
-            # Scheduled crashes batch at the boundary the tick loop would
-            # consume them at, preserving the tick's mature-then-crash
-            # order against in-flight provisioning.
-            crash_boundaries = []
-            for minute in sim.faults.pending_crash_minutes():
-                t = self._snap_up(minute)
-                if t <= horizon and (not crash_boundaries or t != crash_boundaries[-1]):
-                    crash_boundaries.append(t)
-                    self.queue.push(t, P_NODE_CRASH, "node-crash", None)
-        ingest = self.ingestor.ingest if self.ingestor is not None else None
-        while True:
-            event = self.queue.pop()
-            if event is None:
-                break
-            time_, _priority, _seq, kind, data = event
-            self.events_processed[kind] += 1
-            # Stamp the tap clock per event (run_interval restamps it in
-            # _step) so hooks fired by crash/transition/delivery handlers
-            # carry the event's timestamp, matching tick-loop emissions.
-            if sim.tap is not None:
-                sim.tap.now = time_
-            if kind == "interval":
-                sim.run_interval(time_, result, ingestor=ingest, arrivals=arrivals[data])
-                self._schedule_followups(time_, horizon)
-            elif kind == "cluster-transition":
-                sim.cluster.advance(time_)
-            elif kind == "node-crash":
-                sim.faults.advance_to(time_)
-                for comp, crashed in sorted(sim.faults.node_crashes_due(time_).items()):
-                    sim.nodes_failed_total += sim.cluster.fail_component(comp, crashed)
-            elif kind == "delayed-delivery":
-                # Window state must match what the boundary will see
-                # before any delivered message is (re)processed.
-                if sim.faults is not None:
-                    sim.faults.advance_to(time_)
-                sim.dca.tracker.deliver_delayed(time_)
-                self._schedule_delivery(time_, horizon)
-        return result
-
-    # -- follow-up scheduling ---------------------------------------------------
-
-    def _schedule_followups(self, now: float, horizon: float) -> None:
-        # Replica start/stop completions mature at their exact ETA;
-        # nothing observes cluster state between boundaries, so firing
-        # early relative to the tick loop's boundary poll is invisible.
-        for eta in self.sim.cluster.pending_transition_times():
-            if now < eta <= horizon and eta not in self._transition_times:
-                self._transition_times.add(eta)
-                self.queue.push(eta, P_CLUSTER_TRANSITION, "cluster-transition", None)
-        self._schedule_delivery(now, horizon)
-
-    def _schedule_delivery(self, now: float, horizon: float) -> None:
-        if self.sim.dca is None:
-            return
-        eta = self.sim.dca.tracker.next_delayed_due_minutes()
-        if eta is None:
-            return
-        # The tick loop delivers at the first boundary *after* the
-        # enqueueing one whose time has reached the due time.
-        t = self._snap_up(eta)
-        if t <= now:
-            t = now + self.sim.config.interval_minutes
-        if t <= horizon and t not in self._delivery_times:
-            self._delivery_times.add(t)
-            self.queue.push(t, P_DELAYED_DELIVERY, "delayed-delivery", None)

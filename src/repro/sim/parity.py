@@ -1,18 +1,20 @@
-"""Tick-vs-event engine equivalence checking (the parity oracle).
+"""Replay-on vs replay-off equivalence checking (the parity oracle).
 
-The discrete-event engine (:mod:`repro.sim.events`) claims bit-identical
-results to the fixed-tick loop for any seeded configuration.  This
-module is the claim's enforcement surface: it builds the *same* seeded
-experiment twice — once per engine, each with a fresh telemetry
-registry — runs both, and diffs
+Converged replay (:mod:`repro.sim.events`) is on by default wherever it
+is eligible, and claims bit-identical results to live ingestion for any
+seeded configuration.  This module is the claim's enforcement surface:
+it builds the *same* seeded experiment twice — once with
+``SimulationConfig.replay=False`` (the oracle: live ingestion
+everywhere) and once with ``replay=True`` (the default), each with a
+fresh telemetry registry — runs both, and diffs
 
 * the :class:`~repro.sim.metrics.IntervalRecord` streams (value
   equality of the frozen dataclasses, interval by interval, field by
   field),
 * the telemetry snapshots (every non-volatile metric key), and
-* the engine-level fault counters (``nodes_failed_total``).
+* the simulator-level fault counters (``nodes_failed_total``).
 
-The ``engine-parity`` CI job runs :func:`run_engine_parity` over every
+The ``replay-parity`` CI job runs :func:`run_replay_parity` over every
 scenario and manager; on divergence the :class:`ParityReport` is dumped
 as a JSON artifact (set ``PARITY_DIFF_DIR``) so the differing records
 can be inspected without re-running the job.
@@ -55,21 +57,21 @@ _REPORT_REQUIRED_KEYS = (
 
 @dataclass
 class ParityReport:
-    """Outcome of one tick-vs-event equivalence run."""
+    """Outcome of one replay-off vs replay-on equivalence run."""
 
     scenario: str
     manager: str
     seed: int
     duration_minutes: int
-    #: Human-readable divergences; empty means the engines agree.
+    #: Human-readable divergences; empty means both runs agree.
     record_diffs: List[str] = field(default_factory=list)
     snapshot_diffs: List[str] = field(default_factory=list)
     state_diffs: List[str] = field(default_factory=list)
     #: Diverging interval records, serialised for the CI artifact.
     diff_records: List[Dict[str, object]] = field(default_factory=list)
-    #: Whether the event engine's converged-replay cutover fired during
-    #: this run (``None`` when no replay ingestor was even constructed —
-    #: faulted/baseline/sketch-mode configs).  Parity cells for
+    #: Whether the replay side's converged-replay cutover fired (``None``
+    #: when no replay ingestor was even constructed — faulted, baseline
+    #: and sketch-mode configs).  Parity cells for
     #: production configs assert on this so a silently-disengaged fast
     #: path cannot masquerade as a parity pass.
     replay_engaged: Optional[bool] = None
@@ -113,43 +115,43 @@ def _record_dict(record) -> Dict[str, object]:
     return out
 
 
-def diff_results(tick: SimulationResult, event: SimulationResult, limit: int = 20) -> List[str]:
+def diff_results(live: SimulationResult, replay: SimulationResult, limit: int = 20) -> List[str]:
     """Field-level differences between two IntervalRecord streams."""
     diffs: List[str] = []
-    if len(tick.records) != len(event.records):
+    if len(live.records) != len(replay.records):
         diffs.append(
-            f"record count: tick={len(tick.records)} event={len(event.records)}"
+            f"record count: live={len(live.records)} replay={len(replay.records)}"
         )
-    for i, (a, b) in enumerate(zip(tick.records, event.records)):
+    for i, (a, b) in enumerate(zip(live.records, replay.records)):
         if a == b:
             continue
         for f in dataclasses.fields(a):
             va, vb = getattr(a, f.name), getattr(b, f.name)
             if va != vb:
-                diffs.append(f"interval[{i}].{f.name}: tick={va!r} event={vb!r}")
+                diffs.append(f"interval[{i}].{f.name}: live={va!r} replay={vb!r}")
                 if len(diffs) >= limit:
                     return diffs
     return diffs
 
 
-def diff_snapshots(tick: Dict[str, object], event: Dict[str, object], limit: int = 20) -> List[str]:
+def diff_snapshots(live: Dict[str, object], replay: Dict[str, object], limit: int = 20) -> List[str]:
     """Differences between two telemetry snapshots, volatile keys excluded."""
     diffs: List[str] = []
-    a_metrics = tick.get("metrics", {})
-    b_metrics = event.get("metrics", {})
+    a_metrics = live.get("metrics", {})
+    b_metrics = replay.get("metrics", {})
     keys = sorted(set(a_metrics) | set(b_metrics))
     for key in keys:
         if is_volatile_metric_key(key):
             continue
         va, vb = a_metrics.get(key), b_metrics.get(key)
         if va != vb:
-            diffs.append(f"metric {key}: tick={va!r} event={vb!r}")
+            diffs.append(f"metric {key}: live={va!r} replay={vb!r}")
             if len(diffs) >= limit:
                 break
     return diffs
 
 
-def run_engine_parity(
+def run_replay_parity(
     scenario_name: str,
     manager_name: str,
     duration_minutes: int = 120,
@@ -164,18 +166,15 @@ def run_engine_parity(
     interval_minutes: Optional[float] = None,
     diff_dir: Optional[str] = None,
 ) -> ParityReport:
-    """Run one seeded configuration under both engines and diff them.
+    """Run one seeded configuration with replay off and on; diff them.
 
     Every knob that shapes the run — shards, write batching, fault
     plans, path timeouts, live-trace caps, interval length — is accepted
     so CI can prove parity composes with the whole configuration space,
-    not just the defaults.  ``interval_minutes`` matters for the
-    fault-window boundary contract: ``FaultPlan.active_at`` is half-open
-    (``start <= minute < end``) and both engines must agree at exactly
-    ``end_minute`` for any interval length (the event engine snaps
-    crash/delivery timestamps to interval boundaries).  On divergence
-    the report is written to ``diff_dir`` (or ``$PARITY_DIFF_DIR``) as
-    JSON.
+    not just the defaults.  Configurations that are not eligible for
+    replay run live on both sides, which checks that the eligibility
+    rule really keeps them live.  On divergence the report is written
+    to ``diff_dir`` (or ``$PARITY_DIFF_DIR``) as JSON.
     """
     from repro.apps.catalog import load_scenario
     from repro.evalx.experiment import ExperimentConfig, build_simulator
@@ -184,9 +183,9 @@ def run_engine_parity(
     results: Dict[str, SimulationResult] = {}
     snapshots: Dict[str, Dict[str, object]] = {}
     failed_totals: Dict[str, int] = {}
-    for engine in ("tick", "event"):
+    for side, replay in (("live", False), ("replay", True)):
         scenario = load_scenario(scenario_name)
-        sim_config = SimulationConfig()
+        sim_config = SimulationConfig(replay=replay)
         if max_live_traces_per_class is not None:
             sim_config.max_live_traces_per_class = max_live_traces_per_class
         if interval_minutes is not None:
@@ -200,7 +199,6 @@ def run_engine_parity(
             sim=sim_config,
             num_shards=num_shards,
             write_batch_size=write_batch_size,
-            engine=engine,
             profiler_mode=profiler_mode,
             **config_kwargs,
         )
@@ -213,36 +211,34 @@ def run_engine_parity(
             fault_plan=fault_plan,
             path_timeout_minutes=path_timeout_minutes,
         )
-        results[engine] = simulator.run()
-        snapshots[engine] = registry.snapshot()
-        failed_totals[engine] = simulator.nodes_failed_total
-        if engine == "event":
-            ingestor = getattr(
-                getattr(simulator, "event_runner", None), "ingestor", None
-            )
-            replay_engaged = None if ingestor is None else ingestor.replaying
-            replayed_executions = 0 if ingestor is None else ingestor.replayed_executions
+        results[side] = simulator.run()
+        snapshots[side] = registry.snapshot()
+        failed_totals[side] = simulator.nodes_failed_total
+        if replay:
+            ingestor = simulator.ingestor
+    replay_engaged = None if ingestor is None else ingestor.replaying
+    replayed_executions = 0 if ingestor is None else ingestor.replayed_executions
 
     report = ParityReport(
         scenario=scenario_name,
         manager=manager_name,
         seed=seed,
         duration_minutes=duration_minutes,
-        record_diffs=diff_results(results["tick"], results["event"]),
-        snapshot_diffs=diff_snapshots(snapshots["tick"], snapshots["event"]),
+        record_diffs=diff_results(results["live"], results["replay"]),
+        snapshot_diffs=diff_snapshots(snapshots["live"], snapshots["replay"]),
         replay_engaged=replay_engaged,
         replayed_executions=replayed_executions,
     )
-    if failed_totals["tick"] != failed_totals["event"]:
+    if failed_totals["live"] != failed_totals["replay"]:
         report.state_diffs.append(
-            f"nodes_failed_total: tick={failed_totals['tick']} "
-            f"event={failed_totals['event']}"
+            f"nodes_failed_total: live={failed_totals['live']} "
+            f"replay={failed_totals['replay']}"
         )
     if not report.ok:
-        for i, (a, b) in enumerate(zip(results["tick"].records, results["event"].records)):
+        for i, (a, b) in enumerate(zip(results["live"].records, results["replay"].records)):
             if a != b and len(report.diff_records) < 10:
                 report.diff_records.append(
-                    {"interval": i, "tick": _record_dict(a), "event": _record_dict(b)}
+                    {"interval": i, "live": _record_dict(a), "replay": _record_dict(b)}
                 )
         _dump_report(report, diff_dir)
     return report
@@ -271,7 +267,7 @@ def load_parity_report(path: str) -> Dict[str, object]:
 
     A missing, empty, truncated, or structurally wrong file raises
     :class:`~repro.errors.ParityArtifactError` with the exact reason —
-    never returning a dict a caller could misread as "the engines
+    never returning a dict a caller could misread as "the two runs
     agreed".  This mirrors the ``check_regression`` hardening for
     ``BENCH_*.json`` inputs: silent passes on corrupt CI artifacts are
     worse than failures.

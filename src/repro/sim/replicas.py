@@ -15,11 +15,11 @@ concentration, per-replica provenance isolation — at message resolution.
 
 Replica state (round-robin cursors, per-replica interpreter state, uid
 factories) is shared by every request class executing through the
-runtime.  The event engine's converged-replay ingestion
+runtime.  Converged-replay ingestion
 (:mod:`repro.sim.events`) relies on this: because one class's execution
 advances state that other classes observe, replay must cut over
 *atomically for all classes at once* — per-class cutover would perturb
-the still-live classes and break tick parity.
+the still-live classes and break parity with live ingestion.
 """
 
 from __future__ import annotations

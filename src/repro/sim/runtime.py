@@ -51,7 +51,7 @@ class RequestTrace:
 
         Two executions of a class with the same fingerprint emitted the
         same message types between the same endpoints with the same
-        cause-set sizes — the event engine requires a run of identical
+        cause-set sizes — the replay ingestor requires a run of identical
         fingerprints (alongside identical telemetry deltas) before it
         cuts a class over to converged replay.  Uid *values* are
         deliberately excluded: stale provenance uids vary per execution

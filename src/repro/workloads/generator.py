@@ -102,17 +102,5 @@ class WorkloadGenerator:
             out[name] = int(self._rng.poisson(rate)) if rate > 0 else 0
         return out
 
-    def arrivals_series(self, times: Sequence[float]) -> List[Dict[str, int]]:
-        """Pre-draw arrivals for a whole schedule of interval boundaries.
-
-        The event engine materialises its arrival events up front by
-        calling this once with every boundary time.  The draws are made
-        with the exact scalar calls, class order, and zero-rate skips of
-        :meth:`arrivals`, so the consumed RNG stream — and therefore
-        every seeded run — is bit-identical to the tick loop's
-        one-call-per-minute sequence.
-        """
-        return [self.arrivals(t) for t in times]
-
     def class_list(self) -> List[RequestClass]:
         return [self.classes[name] for name in sorted(self.classes)]

@@ -11,7 +11,6 @@ import pytest
 
 from repro.chaos.matrix import (
     CRASH_SCHEDULES,
-    ENGINES,
     FAULT_PROFILES,
     FAULT_WINDOWS,
     PROFILER_MODES,
@@ -31,10 +30,9 @@ class TestGridEnumeration:
             * len(FAULT_WINDOWS)
             * len(CRASH_SCHEDULES)
             * len(STORE_CONFIGS)
-            * len(ENGINES)
             * len(PROFILER_MODES)
         )
-        assert matrix.total_cells == expected == 288
+        assert matrix.total_cells == expected == 144
 
     def test_decode_roundtrip_is_bijective(self):
         """Every grid index decodes to a distinct axis combination."""
@@ -50,7 +48,6 @@ class TestGridEnumeration:
                 cell.crash_schedule,
                 cell.num_shards,
                 cell.write_batch_size,
-                cell.engine,
                 cell.profiler_mode,
             )
             assert combo not in seen
@@ -98,7 +95,7 @@ class TestCellIdentity:
 
     def test_from_dict_missing_key_rejected(self):
         data = ChaosMatrix().cell_at(0).canonical()
-        del data["engine"]
+        del data["profiler_mode"]
         with pytest.raises(EvaluationError):
             ChaosCell.from_dict(data)
 
@@ -128,7 +125,7 @@ class TestSelect:
 
     def test_limit_yields_distinct_cells(self):
         matrix = ChaosMatrix()
-        for limit in (1, 2, 7, 12, 64, 287):
+        for limit in (1, 2, 7, 12, 64, 143):
             cells = matrix.select(limit)
             assert len(cells) == limit
             assert len({c.grid_index for c in cells}) == limit
@@ -136,7 +133,6 @@ class TestSelect:
     def test_small_subset_covers_every_axis(self):
         """The stride must not exhaust the outermost axis first."""
         cells = ChaosMatrix().select(12)
-        assert {c.engine for c in cells} == set(ENGINES)
         assert {c.profiler_mode for c in cells} == set(PROFILER_MODES)
         assert {c.crash_schedule for c in cells} == set(CRASH_SCHEDULES)
         assert {(c.num_shards, c.write_batch_size) for c in cells} == set(
@@ -158,7 +154,7 @@ class TestSelect:
 class TestCellById:
     def test_roundtrip(self):
         matrix = ChaosMatrix()
-        cell = matrix.cell_at(244)
+        cell = matrix.cell_at(122)
         assert matrix.cell_by_id(cell.cell_id) == cell
 
     def test_malformed_id_rejected(self):

@@ -2,10 +2,9 @@
 
 ``repro chaos --replay <cell-id>`` must regenerate a failing run's full
 telemetry snapshot digest, violations, and event stream from the cell id
-alone — in a fresh process, under either engine, and under sketch
-profiler modes.  The 25-cell subset below is the matrix's own
-deterministic selection, so it provably spans both engines, both
-profiler modes, and every store configuration.
+alone — in a fresh process, and under sketch profiler modes.  The
+25-cell subset below is the matrix's own deterministic selection, so it
+provably spans both profiler modes and every store configuration.
 
 Also covered: replay bundles (write/load round-trip plus the hardened
 loader's failure cases) and the parallel runner's serial equivalence.
@@ -15,7 +14,7 @@ import json
 
 import pytest
 
-from repro.chaos.matrix import ChaosMatrix, MatrixConfig
+from repro.chaos.matrix import STORE_CONFIGS, ChaosMatrix, MatrixConfig
 from repro.chaos.runner import (
     CellRunResult,
     load_replay_bundle,
@@ -33,16 +32,16 @@ CELLS = MATRIX.select(25)
 
 
 def test_subset_spans_the_interesting_axes():
-    """The 25-seed property sweep must include event-engine and topk cells."""
+    """The 25-seed property sweep must include topk and sharded/batched cells."""
     assert len(CELLS) == 25
-    assert {c.engine for c in CELLS} == {"tick", "event"}
     assert {c.profiler_mode for c in CELLS} == {"exact", "topk"}
+    assert {(c.num_shards, c.write_batch_size) for c in CELLS} == set(STORE_CONFIGS)
     assert len({c.seed for c in CELLS}) == 25
 
 
 class TestReplayBitIdentical:
     @pytest.mark.parametrize(
-        "cell", CELLS, ids=[f"{c.cell_id}-{c.engine}-{c.profiler_mode}" for c in CELLS]
+        "cell", CELLS, ids=[f"{c.cell_id}-{c.profiler_mode}" for c in CELLS]
     )
     def test_replay_reproduces_the_run(self, cell):
         original = run_cell(cell)

@@ -2,7 +2,7 @@
 
 Eligibility relaxation (sharded/batched memory stores may freeze and
 replay) must not leak into the chaos matrix: every faulted cell takes
-the full-fidelity path regardless of store shape, the pinned 288-cell
+the full-fidelity path regardless of store shape, the pinned 144-cell
 grid is untouched, and the fault-free production config passes the
 temporal invariants *with the cutover engaged*.  Worker fan-out over
 the production cells stays bit-identical to a serial sweep — the same
@@ -21,41 +21,34 @@ from repro.telemetry import MetricsRegistry
 
 MATRIX = ChaosMatrix(MatrixConfig(duration_minutes=20))
 _SELECTED = MATRIX.select(25)
-#: The production store shape (--shards 4 --batch-size 32) on the event
-#: engine, one cell per profiler tier.
-PROD_EXACT_EVENT = next(
+#: The production store shape (--shards 4 --batch-size 32), one cell per
+#: profiler tier.
+PROD_EXACT = next(
     c
     for c in _SELECTED
-    if c.engine == "event"
-    and c.num_shards == 4
-    and c.write_batch_size == 32
-    and c.profiler_mode == "exact"
+    if c.num_shards == 4 and c.write_batch_size == 32 and c.profiler_mode == "exact"
 )
-PROD_TOPK_EVENT = next(
+PROD_TOPK = next(
     c
     for c in _SELECTED
-    if c.engine == "event"
-    and c.num_shards == 4
-    and c.write_batch_size == 32
-    and c.profiler_mode == "topk"
+    if c.num_shards == 4 and c.write_batch_size == 32 and c.profiler_mode == "topk"
 )
 
 
 def test_grid_stays_pinned():
     """Relaxed eligibility is a runtime fast path, not a matrix axis."""
-    assert MATRIX.total_cells == 288
+    assert MATRIX.total_cells == 144
 
 
 def _run_cell_exposing_simulator(cell):
     """Exactly ``run_cell``'s wiring, but keeping the simulator around
-    so the test can inspect the event runner's replay state."""
+    so the test can inspect the simulator's replay state."""
     scenario = load_scenario(cell.app)
     config = ExperimentConfig(
         duration_minutes=cell.duration_minutes,
         seed=cell.seed_for(0),
         num_shards=cell.num_shards,
         write_batch_size=cell.write_batch_size,
-        engine=cell.engine,
         profiler_mode=cell.profiler_mode,
     )
     registry = MetricsRegistry()
@@ -85,9 +78,9 @@ class TestFaultedProductionCellsStayFullFidelity:
         """Sharded/batched is now replay-eligible — but only fault-free:
         a faulted cell must still run full-fidelity ingestion and pass
         every temporal invariant."""
-        for cell in (PROD_EXACT_EVENT, PROD_TOPK_EVENT):
+        for cell in (PROD_EXACT, PROD_TOPK):
             simulator, tap = _run_cell_exposing_simulator(cell)
-            assert simulator.event_runner.ingestor is None, cell.cell_id
+            assert simulator.ingestor is None, cell.cell_id
             detector = getattr(simulator.manager, "staleness_detector", None)
             fresh_after = (
                 detector.policy.fresh_after_intervals if detector is not None else 2
@@ -105,7 +98,6 @@ class TestFaultFreeProductionConfigUnderInvariants:
             duration_minutes=24,
             seed=7,
             sim=SimulationConfig(max_live_traces_per_class=16),
-            engine="event",
             num_shards=4,
             write_batch_size=32,
         )
@@ -118,7 +110,7 @@ class TestFaultFreeProductionConfigUnderInvariants:
             tap=tap,
         )
         simulator.run()
-        ingestor = simulator.event_runner.ingestor
+        ingestor = simulator.ingestor
         assert ingestor is not None and ingestor.replaying
         assert not check_all(tap)
 
@@ -128,7 +120,7 @@ class TestWorkerSweepOverProductionCells:
         """--workers fan-out over the production cells (both profiler
         tiers, sketch state included) reproduces the serial sweep
         bit-for-bit."""
-        cells = [PROD_EXACT_EVENT, PROD_TOPK_EVENT]
+        cells = [PROD_EXACT, PROD_TOPK]
         pooled = run_matrix(cells, repeats=1, workers=2)
         serial = run_matrix(cells, repeats=1, workers=1)
         for pool_report, serial_report in zip(pooled, serial):

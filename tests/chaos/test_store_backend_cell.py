@@ -19,14 +19,15 @@ from repro.graphstore.sharded import ShardedGraphStore
 from repro.graphstore.store import GraphStore
 
 MATRIX = ChaosMatrix(MatrixConfig(duration_minutes=20))
-#: A deterministic slice of the selection: one tick cell, one event cell.
+#: A deterministic slice of the selection: one unsharded and one sharded
+#: exact-profiler cell.
 CELLS = [c for c in MATRIX.select(25) if c.profiler_mode == "exact"]
-TICK_CELL = next(c for c in CELLS if c.engine == "tick")
-EVENT_CELL = next(c for c in CELLS if c.engine == "event")
+UNSHARDED_CELL = next(c for c in CELLS if c.num_shards == 1)
+SHARDED_CELL = next(c for c in CELLS if c.num_shards > 1)
 
 
 def test_log_backend_cell_matches_memory_digest(tmp_path):
-    for cell in (TICK_CELL, EVENT_CELL):
+    for cell in (UNSHARDED_CELL, SHARDED_CELL):
         memory = run_cell(cell, repeat=0)
         logged = run_cell(
             cell, repeat=0, store_backend="log", store_dir=str(tmp_path)
@@ -40,7 +41,7 @@ def test_log_backend_cell_matches_memory_digest(tmp_path):
 
 
 def test_log_backend_cell_journal_reopens_after_the_run(tmp_path):
-    cell = TICK_CELL
+    cell = UNSHARDED_CELL
     run_cell(cell, repeat=1, store_backend="log", store_dir=str(tmp_path))
     directory = str(
         tmp_path / f"{cell.cell_id}-r1" / _manager_slug(cell.manager)

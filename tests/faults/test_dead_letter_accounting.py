@@ -15,8 +15,6 @@ seeded sharded+batched integration run:
   re-admitted and never double-counted as abandoned.
 """
 
-import pytest
-
 from repro.graphstore.pipeline import BatchedWritePipeline, DeadLetterQueue
 from repro.graphstore.store import GraphStore
 from repro.lang.ir import EXTERNAL
@@ -154,7 +152,7 @@ class TestShardedBatchedAccountingPinned:
 
     The exact counter values are pinned: any change to fault-roll order,
     suppression, purging, or late-discard behaviour shows up here as a
-    diff, not as silent double-accounting.  Both engines must agree.
+    diff, not as silent double-accounting.
     """
 
     PINNED = {
@@ -168,7 +166,7 @@ class TestShardedBatchedAccountingPinned:
         "tracker.store_write_retries": 201,
     }
 
-    def _run(self, engine):
+    def _run(self):
         from repro.apps.catalog import load_scenario
         from repro.core.elasticity import DCAManagerConfig, StalenessPolicy
         from repro.evalx.experiment import (
@@ -194,7 +192,6 @@ class TestShardedBatchedAccountingPinned:
             seed=7,
             num_shards=4,
             write_batch_size=32,
-            engine=engine,
         )
         simulator = build_simulator(
             load_scenario("hedwig"),
@@ -213,14 +210,13 @@ class TestShardedBatchedAccountingPinned:
             for key in self.PINNED
         }
 
-    @pytest.mark.parametrize("engine", ("tick", "event"))
-    def test_pinned_counters(self, engine):
-        values = self._run(engine)
+    def test_pinned_counters(self):
+        values = self._run()
         assert values == self.PINNED
 
     def test_ledger_identity(self):
         """tracker.dead_letters == depth + dropped + purged, exactly."""
-        values = self._run("tick")
+        values = self._run()
         assert values["tracker.dead_letters"] == (
             values["store.dead_letter_depth"]
             + values["store.dead_letter_dropped"]

@@ -2,11 +2,11 @@
 
 ``FaultPlan.active_at`` is ``[start_minute, end_minute)``: a roll at
 exactly ``end_minute`` is outside the outage.  The unit tests pin the
-predicate itself; the parity tests pin the part that actually bit
-earlier: both engines must agree on *which rolls* happen inside the
-window when its edges land exactly on interval boundaries — for any
-``interval_minutes``, since the event engine snaps fault-roll
-timestamps up to tick boundaries.
+predicate itself; the parity tests run each boundary case with replay
+off and on and require identical rolls inside the window when its
+edges land exactly on interval boundaries — for any
+``interval_minutes``.  Faulted runs are ineligible for replay, so both
+sides must stay on live ingestion.
 """
 
 import math
@@ -14,7 +14,7 @@ import math
 import pytest
 
 from repro.faults.plan import FaultPlan, NodeCrash
-from repro.sim.parity import run_engine_parity
+from repro.sim.parity import run_replay_parity
 
 
 def _assert_ok(report):
@@ -24,6 +24,7 @@ def _assert_ok(report):
         + report.snapshot_diffs
         + report.state_diffs
     )
+    assert report.replay_engaged is None, "faulted runs must stay live"
 
 
 class TestActiveAtSemantics:
@@ -59,11 +60,11 @@ class TestActiveAtSemantics:
 
 
 class TestEngineBoundaryAgreement:
-    """Both engines must make identical rolls when window edges hit ticks."""
+    """Replay on and off must make identical rolls when window edges hit ticks."""
 
     @pytest.mark.parametrize("seed", (7, 23, 41))
     def test_end_on_default_interval_boundary(self, seed):
-        report = run_engine_parity(
+        report = run_replay_parity(
             "hedwig",
             "DCA-10%",
             duration_minutes=24,
@@ -81,7 +82,7 @@ class TestEngineBoundaryAgreement:
 
     def test_end_on_coarse_interval_boundary(self):
         """interval=2.0 with the window's edges on even minutes."""
-        report = run_engine_parity(
+        report = run_replay_parity(
             "hedwig",
             "DCA-10%",
             duration_minutes=24,
@@ -99,7 +100,7 @@ class TestEngineBoundaryAgreement:
 
     def test_fractional_interval_boundary(self):
         """interval=1.5: edges at 4.5 and 15.0 are exact tick multiples."""
-        report = run_engine_parity(
+        report = run_replay_parity(
             "hedwig",
             "DCA-10%",
             duration_minutes=24,
@@ -118,7 +119,7 @@ class TestEngineBoundaryAgreement:
 
     def test_window_ending_at_run_end(self):
         """end_minute == duration: the last tick's rolls are all outside."""
-        report = run_engine_parity(
+        report = run_replay_parity(
             "hedwig",
             "DCA-10%",
             duration_minutes=20,
@@ -134,7 +135,7 @@ class TestEngineBoundaryAgreement:
 
     def test_crash_at_window_end_boundary(self):
         """A crash scheduled exactly at end_minute still fires (no window)."""
-        report = run_engine_parity(
+        report = run_replay_parity(
             "zookeeper",
             "DCA-10%",
             duration_minutes=24,

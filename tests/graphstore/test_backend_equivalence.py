@@ -7,7 +7,9 @@ backends: identical observables (signatures, members, evictions,
 survivors, notifications), identical fault-ledger counters under a
 seeded fault plan, and — the strongest form — bit-identical sha256
 telemetry digests over every non-volatile metric, at multiple
-shard/batch configurations and under both simulation engines.
+shard/batch configurations.  The memory reference runs on the default
+replay ingestion; the journaling backends are ineligible for replay and
+run live, so the digest contract also covers replay ≡ live.
 
 The ordering-leak audit behind the digest contract: ``all_uids`` walks
 insertion-ordered partition dicts, ``graph_members`` returns the
@@ -200,14 +202,13 @@ def test_log_restart_then_maintenance_stays_exact(seed, tmp_path):
 # -- full-simulator digests ----------------------------------------------------
 
 
-def _sim_digest(backend, tmp_path, name, shards=1, batch=1, engine="tick",
-                fault_plan=None):
+def _sim_digest(backend, tmp_path, name, shards=1, batch=1, fault_plan=None):
     from repro.apps.catalog import load_scenario
     from repro.evalx.experiment import ExperimentConfig, build_simulator
 
     config = ExperimentConfig(
         duration_minutes=12, seed=7, num_shards=shards, write_batch_size=batch,
-        engine=engine, store_backend=backend,
+        store_backend=backend,
         store_dir=str(tmp_path / name) if backend == "log" else None,
     )
     registry = MetricsRegistry()
@@ -220,16 +221,11 @@ def _sim_digest(backend, tmp_path, name, shards=1, batch=1, engine="tick",
     return telemetry_digest(registry.snapshot())
 
 
-@pytest.mark.parametrize(
-    "shards,batch,engine",
-    [(1, 1, "tick"), (NUM_SHARDS, 8, "tick"), (1, 1, "event")],
-)
-def test_full_simulation_digest_parity(shards, batch, engine, tmp_path):
-    reference = _sim_digest("memory", tmp_path, "m", shards, batch, engine)
+@pytest.mark.parametrize("shards,batch", [(1, 1), (NUM_SHARDS, 8)])
+def test_full_simulation_digest_parity(shards, batch, tmp_path):
+    reference = _sim_digest("memory", tmp_path, "m", shards, batch)
     for backend in ("log", "shared"):
-        assert _sim_digest(
-            backend, tmp_path, backend, shards, batch, engine
-        ) == reference, backend
+        assert _sim_digest(backend, tmp_path, backend, shards, batch) == reference, backend
 
 
 def test_full_simulation_digest_parity_under_faults(tmp_path):

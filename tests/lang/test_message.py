@@ -1,8 +1,12 @@
 """Unit tests for message uids and the message model."""
 
+import heapq
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import IRError
+from repro.lang.interpreter import _cap_taint
 from repro.lang.ir import CLIENT, EXTERNAL
 from repro.lang.message import Message, MessageUid, UidFactory
 
@@ -36,6 +40,30 @@ class TestMessageUid:
 
     def test_str_format(self):
         assert str(MessageUid("h", 2, 7)) == "h/2#7"
+
+    def test_key_is_the_ordered_triple(self):
+        uid = MessageUid("h", 2, 7)
+        assert uid.key == ("h", 2, 7)
+        assert hash(uid) == hash(uid.key)
+
+
+#: Multi-sender taint sets: a few hosts x processes, sequence numbers
+#: that interleave across senders.
+_uids = st.builds(
+    MessageUid,
+    st.sampled_from(["10.0.0.1", "10.0.0.2", "fe-3", "hub"]),
+    st.integers(0, 4),
+    st.integers(0, 200),
+)
+
+
+class TestKeyedTaintCap:
+    @given(st.frozensets(_uids, max_size=80), st.integers(1, 40))
+    def test_keyed_cap_equals_rich_comparison_cap(self, taint, limit):
+        """Keying nlargest on the stored tuple keeps exactly the set the
+        uids' own ordering keeps."""
+        expected = taint if len(taint) <= limit else frozenset(heapq.nlargest(limit, taint))
+        assert _cap_taint(taint, limit) == expected
 
 
 class TestMessage:

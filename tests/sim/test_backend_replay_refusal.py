@@ -3,10 +3,11 @@
 Converged replay freezes a telemetry delta and stops feeding the store;
 with a journaling backend that would leave the durable log silently
 incomplete (records for replayed executions simply never written).  The
-eligibility gate lives in ``supports_snapshot_replay`` and is enforced
+eligibility gate lives in ``supports_snapshot_replay`` (part of
+:meth:`~repro.sim.events.ReplayIngestor.eligible`) and is enforced
 twice: at :class:`~repro.sim.events.ReplayIngestor` construction and
 re-checked at the freeze cutover.  These tests pin both seams plus the
-event runner's fallback to full-fidelity ingestion.
+tick loop's fallback to full-fidelity ingestion.
 """
 
 import inspect
@@ -15,13 +16,13 @@ import pytest
 
 from repro.apps.catalog import load_scenario
 from repro.evalx.experiment import ExperimentConfig, build_simulator
-from repro.sim.events import EventDrivenRunner, ReplayIngestor
+from repro.sim.events import ReplayIngestor
 from repro.telemetry import MetricsRegistry
 
 
-def _simulator(backend, tmp_path, engine="event"):
+def _simulator(backend, tmp_path):
     config = ExperimentConfig(
-        duration_minutes=8, seed=7, engine=engine, store_backend=backend,
+        duration_minutes=8, seed=7, store_backend=backend,
         store_dir=str(tmp_path / backend) if backend == "log" else None,
     )
     return build_simulator(
@@ -49,13 +50,15 @@ def test_replay_ingestor_refuses_journaling_backend(tmp_path):
 
 
 def test_event_runner_falls_back_to_full_ingestion(tmp_path):
-    simulator = _simulator("log", tmp_path, engine="event")
-    runner = EventDrivenRunner(simulator)
-    assert not runner._replay_eligible
-    simulator.dca.tracker.store.close()
+    simulator = _simulator("log", tmp_path)
+    assert not ReplayIngestor.eligible(simulator)
+    simulator.run()
+    assert simulator.ingestor is None
 
-    eligible = EventDrivenRunner(_simulator("memory", tmp_path, engine="event"))
-    assert eligible._replay_eligible
+    eligible = _simulator("memory", tmp_path)
+    assert ReplayIngestor.eligible(eligible)
+    eligible.run()
+    assert eligible.ingestor is not None
 
 
 def test_freeze_cutover_rechecks_eligibility():
@@ -74,14 +77,14 @@ def test_freeze_cutover_rechecks_eligibility():
 def test_frozen_run_would_skip_journal_writes(tmp_path):
     """Why the gate exists: replay executes nothing, so nothing journals.
 
-    A memory-backend event run cuts over to replay; if that were allowed
+    A memory-backend run cuts over to replay; if that were allowed
     on the log backend, every post-cutover execution would be absent
     from the log.  Assert the premise: the eligible run really does stop
     live-executing after convergence.
     """
-    simulator = _simulator("memory", tmp_path, engine="event")
+    simulator = _simulator("memory", tmp_path)
     simulator.config.duration_minutes = 120
     simulator.run()
-    ingestor = simulator.event_runner.ingestor
+    ingestor = simulator.ingestor
     assert ingestor is not None and ingestor.replaying
     assert ingestor.replayed_executions > 0

@@ -73,6 +73,33 @@ class TestEngineBasics:
         assert len(result.records) == 7
         assert [r.time_minutes for r in result.records] == [float(t) for t in range(7)]
 
+    def test_arrivals_follow_the_seeded_per_interval_draws(self, pipeline_app):
+        """The tick loop draws its whole schedule up front; the records
+        must carry exactly the draws a fresh, same-seeded generator makes
+        one interval at a time."""
+
+        def seeded():
+            return WorkloadGenerator(
+                ScaledPattern(lambda t: 1.0, 40.0, 40.0),
+                StepMixSchedule([MixPhase(0.0, {"go": 1.0})]),
+                [RequestClass("go", "start", {"x": 5})],
+                seed=5,
+            )
+
+        sim = ClusterSimulator(
+            pipeline_app,
+            seeded(),
+            _deployments(pipeline_app),
+            MACHINE,
+            HoldManager(),
+            config=SimulationConfig(duration_minutes=12),
+        )
+        records = sim.run().records
+        reference = seeded()
+        assert [r.class_arrivals for r in records] == [
+            reference.arrivals(float(t)) for t in range(12)
+        ]
+
     def test_sla_auto_derived_from_path_cost(self, pipeline_app):
         sim = _simulator(pipeline_app)
         # Path cost: 3 components × 5ms + 4 hops × 2ms network = 23ms; ×10.

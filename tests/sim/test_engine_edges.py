@@ -1,13 +1,13 @@
-"""Event-engine edge cases: the corners where tick/event could diverge.
+"""Tick-loop edge cases, each run with replay off (the oracle) and on.
 
 The scenario-suite parity tests (``test_engine_parity.py``) cover the
 paper configurations; these tests pin down the boundary conditions the
-discrete-event engine must handle exactly like the tick oracle:
+tick loop must handle identically whichever DCA ingestion it uses:
 
 * one-interval runs (nothing ever matures or delivers),
-* non-unit ``interval_minutes`` (boundary snapping, rate conversion),
-* fault delays landing exactly on an interval boundary,
-* the event-clocked ``_inject_failures`` roll (pinned seeded counts),
+* non-unit ``interval_minutes`` (record spacing, rate conversion),
+* fault delays landing exactly on, or between, interval boundaries,
+* the clock-driven ``_inject_failures`` roll (pinned seeded counts),
 * the converged-replay cutover machinery itself.
 """
 
@@ -33,10 +33,10 @@ def _run_pair(
     fault_plan=None,
     path_timeout_minutes=None,
 ):
-    """Run one config under both engines; return {engine: (sim, result, snap)}."""
+    """Run one config with replay off and on; return {side: (sim, result, snap)}."""
     out = {}
-    for engine in ("tick", "event"):
-        sim_config = SimulationConfig()
+    for side, replay in (("live", False), ("replay", True)):
+        sim_config = SimulationConfig(replay=replay)
         if interval_minutes is not None:
             sim_config.interval_minutes = interval_minutes
         if node_failure_rate is not None:
@@ -46,7 +46,6 @@ def _run_pair(
             duration_minutes=duration_minutes,
             seed=seed,
             sim=sim_config,
-            engine=engine,
         )
         registry = MetricsRegistry()
         sim = build_simulator(
@@ -58,26 +57,26 @@ def _run_pair(
             path_timeout_minutes=path_timeout_minutes,
         )
         result = sim.run()
-        out[engine] = (sim, result, registry.snapshot())
+        out[side] = (sim, result, registry.snapshot())
     return out
 
 
 def _assert_pair_parity(pair):
-    _, tick_result, tick_snap = pair["tick"]
-    _, event_result, event_snap = pair["event"]
-    diffs = diff_results(tick_result, event_result)
+    _, live_result, live_snap = pair["live"]
+    _, replay_result, replay_snap = pair["replay"]
+    diffs = diff_results(live_result, replay_result)
     assert not diffs, diffs
-    diffs = diff_snapshots(tick_snap, event_snap)
+    diffs = diff_snapshots(live_snap, replay_snap)
     assert not diffs, diffs
-    assert pair["tick"][0].nodes_failed_total == pair["event"][0].nodes_failed_total
+    assert pair["live"][0].nodes_failed_total == pair["replay"][0].nodes_failed_total
 
 
 class TestDurationEdges:
     def test_single_interval_run(self):
         pair = _run_pair("hedwig", "DCA-100%", duration_minutes=1)
         _assert_pair_parity(pair)
-        assert len(pair["event"][1].records) == 1
-        assert pair["event"][1].records[0].time_minutes == 0.0
+        assert len(pair["replay"][1].records) == 1
+        assert pair["replay"][1].records[0].time_minutes == 0.0
 
     def test_zero_duration_rejected(self):
         with pytest.raises(SimulationError):
@@ -85,7 +84,7 @@ class TestDurationEdges:
 
 
 class TestNonUnitIntervals:
-    """interval_minutes != 1.0: snapping and rate conversion must agree."""
+    """interval_minutes != 1.0: record spacing and rate conversion."""
 
     @pytest.mark.parametrize("interval_minutes", [0.5, 2.0])
     def test_parity(self, interval_minutes):
@@ -107,7 +106,7 @@ class TestNonUnitIntervals:
             duration_minutes=30,
             interval_minutes=interval_minutes,
         )
-        records = pair["event"][1].records
+        records = pair["replay"][1].records
         assert len(records) == expected_intervals
         times = [r.time_minutes for r in records]
         assert times == [k * interval_minutes for k in range(expected_intervals)]
@@ -137,15 +136,12 @@ class TestBoundaryDelays:
             path_timeout_minutes=5.0,
         )
         _assert_pair_parity(pair)
-        event_sim = pair["event"][0]
-        runner = event_sim.event_runner
-        assert runner.events_processed["delayed-delivery"] > 0
-        metrics = pair["event"][2]["metrics"]
+        metrics = pair["live"][2]["metrics"]
         delivered = metrics["tracker.delayed_messages_delivered"]["value"]
         assert delivered > 0
 
     def test_fractional_delay(self):
-        """A mid-interval ETA must snap up to the *next* boundary, like tick."""
+        """A mid-interval ETA is delivered at the first boundary after it."""
         plan = FaultPlan(seed=11, message_delay_rate=0.6, message_delay_minutes=1.5)
         pair = _run_pair(
             "hedwig",
@@ -155,15 +151,16 @@ class TestBoundaryDelays:
             path_timeout_minutes=5.0,
         )
         _assert_pair_parity(pair)
-        assert pair["event"][0].event_runner.events_processed["delayed-delivery"] > 0
+        metrics = pair["live"][2]["metrics"]
+        assert metrics["tracker.delayed_messages_delivered"]["value"] > 0
 
 
 class TestEventClockedFailureRolls:
-    """_inject_failures consumes the event clock, not whole-minute ticks.
+    """_inject_failures consumes the simulation clock, not whole-minute ticks.
 
     The counts are pinned so any change to the roll schedule (the
-    ``dt = now - last_roll`` accounting) shows up as a diff, and both
-    engines must reproduce them exactly.
+    ``dt = now - last_roll`` accounting) shows up as a diff, and replay
+    on and off must reproduce them exactly.
     """
 
     @pytest.mark.parametrize(
@@ -179,19 +176,20 @@ class TestEventClockedFailureRolls:
             failure_seed=failure_seed,
         )
         _assert_pair_parity(pair)
-        assert pair["tick"][0].nodes_failed_total == expected_failed
-        assert pair["event"][0].nodes_failed_total == expected_failed
+        assert pair["live"][0].nodes_failed_total == expected_failed
+        assert pair["replay"][0].nodes_failed_total == expected_failed
 
 
 class TestReplayCutover:
     def test_replay_engages_on_long_plain_runs(self):
         pair = _run_pair("marketcetera", "DCA-100%", duration_minutes=160)
         _assert_pair_parity(pair)
-        runner = pair["event"][0].event_runner
-        assert runner.ingestor is not None
-        assert runner.ingestor.replaying
-        assert runner.ingestor.replayed_executions > 0
-        assert runner.ingestor.cutover_minute is not None
+        assert pair["live"][0].ingestor is None
+        ingestor = pair["replay"][0].ingestor
+        assert ingestor is not None
+        assert ingestor.replaying
+        assert ingestor.replayed_executions > 0
+        assert ingestor.cutover_minute is not None
 
     def test_replay_disabled_under_faults(self):
         """Fault-injected runs must take the full-fidelity path."""
@@ -204,9 +202,9 @@ class TestReplayCutover:
             path_timeout_minutes=5.0,
         )
         _assert_pair_parity(pair)
-        assert pair["event"][0].event_runner.ingestor is None
+        assert pair["replay"][0].ingestor is None
 
     def test_replay_disabled_for_baseline_managers(self):
         pair = _run_pair("hedwig", "CloudWatch", duration_minutes=40)
         _assert_pair_parity(pair)
-        assert pair["event"][0].event_runner.ingestor is None
+        assert pair["replay"][0].ingestor is None

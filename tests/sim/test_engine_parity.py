@@ -1,12 +1,14 @@
-"""Seeded tick-vs-event equivalence over the scenario suite.
+"""Seeded replay-off vs replay-on equivalence over the scenario suite.
 
 These tests *are* the parity oracle gate: for each seeded
-configuration the tick loop and the discrete-event engine must produce
-bit-identical ``IntervalRecord`` streams, telemetry snapshots (modulo
-the documented volatile keys) and fault counters.  CI's
-``engine-parity`` job runs them with ``PARITY_DURATION=450`` (the full
-paper workload) and all seven managers; the local default keeps the
-matrix small enough for the tier-1 run while still crossing the
+configuration, live ingestion (``replay=False``, the oracle) and the
+default converged replay must produce bit-identical ``IntervalRecord``
+streams, telemetry snapshots (modulo the documented volatile keys) and
+fault counters.  CI's ``replay-parity`` job runs them with
+``PARITY_DURATION=450`` (the full paper workload), all seven managers
+and seeds 7 and 101 — the whole ``repro table`` grid, twice; the local
+default keeps the matrix small enough for the tier-1 run (CloudWatch,
+DCA-100% and DCA-10% on every app) while still crossing the
 converged-replay cutover (~80 intervals).
 
 Environment knobs:
@@ -14,6 +16,8 @@ Environment knobs:
 * ``PARITY_DURATION`` — simulated minutes per check (default 120).
 * ``PARITY_MANAGERS`` — comma-separated manager subset (default a
   representative trio; CI passes all seven).
+* ``PARITY_SEEDS`` — comma-separated seeds per scenario/manager cell
+  (default 7).
 * ``PARITY_DIFF_DIR`` — where diverging runs dump their JSON diff
   artifact (uploaded by CI on failure).
 """
@@ -24,7 +28,10 @@ import pytest
 
 from repro.evalx.experiment import MANAGER_NAMES, ExperimentConfig, run_all_managers
 from repro.faults import FAULT_SCENARIOS, build_fault_plan
-from repro.sim.parity import diff_results, diff_snapshots, run_engine_parity
+from repro.sim import parity as parity_mod
+from repro.sim.engine import SimulationConfig
+from repro.sim.events import ReplayIngestor
+from repro.sim.parity import diff_results, diff_snapshots, run_replay_parity
 from repro.telemetry import MetricsRegistry
 
 SCENARIO_NAMES = ("marketcetera", "hedwig", "zookeeper")
@@ -35,6 +42,9 @@ PARITY_MANAGERS = tuple(
     name.strip()
     for name in os.environ.get("PARITY_MANAGERS", _default_managers).split(",")
     if name.strip()
+)
+PARITY_SEEDS = tuple(
+    int(seed) for seed in os.environ.get("PARITY_SEEDS", "7").split(",") if seed.strip()
 )
 
 
@@ -51,23 +61,31 @@ class TestScenarioParity:
     @pytest.mark.parametrize("scenario", SCENARIO_NAMES)
     @pytest.mark.parametrize("manager", PARITY_MANAGERS)
     def test_tick_event_equivalence(self, scenario, manager):
+        """Live tick-loop ingestion vs default replay, at every parity seed."""
         assert manager in MANAGER_NAMES
-        report = run_engine_parity(scenario, manager, duration_minutes=PARITY_DURATION)
-        _assert_ok(report)
+        for seed in PARITY_SEEDS:
+            report = run_replay_parity(
+                scenario, manager, duration_minutes=PARITY_DURATION, seed=seed
+            )
+            _assert_ok(report)
+            if manager.startswith("DCA-") and PARITY_DURATION >= 120:
+                # Long enough to cross the cutover on every app: the
+                # default really replays, it does not just stay live.
+                assert report.replay_engaged, report.summary()
 
     def test_alternate_seed(self):
-        report = run_engine_parity(
+        report = run_replay_parity(
             "hedwig", "DCA-100%", duration_minutes=PARITY_DURATION, seed=23
         )
         _assert_ok(report)
 
 
 class TestFaultParity:
-    """Every fault channel must behave identically under both engines."""
+    """Faulted runs are ineligible for replay: both sides must stay live."""
 
     @pytest.mark.parametrize("fault_scenario", sorted(FAULT_SCENARIOS))
     def test_fault_scenarios(self, fault_scenario):
-        report = run_engine_parity(
+        report = run_replay_parity(
             "hedwig",
             "DCA-10%",
             duration_minutes=40,
@@ -75,10 +93,11 @@ class TestFaultParity:
             path_timeout_minutes=5.0,
         )
         _assert_ok(report)
+        assert report.replay_engaged is None
 
     def test_node_churn_baseline_manager(self):
         """Baseline managers see only the crash schedule — still parity."""
-        report = run_engine_parity(
+        report = run_replay_parity(
             "zookeeper",
             "ElasticRMI",
             duration_minutes=40,
@@ -88,13 +107,13 @@ class TestFaultParity:
 
 
 class TestStoreConfigParity:
-    """--engine event must compose bit-identically with --shards/--batch-size."""
+    """Replay must compose bit-identically with --shards/--batch-size."""
 
     @pytest.mark.parametrize(
         "num_shards,write_batch_size", [(2, 1), (1, 8), (4, 16), (4, 32)]
     )
     def test_sharded_batched(self, num_shards, write_batch_size):
-        report = run_engine_parity(
+        report = run_replay_parity(
             "marketcetera",
             "DCA-100%",
             duration_minutes=60,
@@ -105,10 +124,10 @@ class TestStoreConfigParity:
 
     def test_production_config_engages_replay_cutover(self):
         """The newly eligible fast-path config: sharded *and* batched,
-        cutover engaged, still bit-identical to the tick oracle.
+        cutover engaged, still bit-identical to the live oracle.
         ``max_live_traces_per_class=16`` compresses the warmup so the
         convergence streak lands inside a tier-1-sized run."""
-        report = run_engine_parity(
+        report = run_replay_parity(
             "marketcetera",
             "DCA-100%",
             duration_minutes=60,
@@ -122,16 +141,16 @@ class TestStoreConfigParity:
 
 
 class TestProfilerModeParity:
-    """--profiler-mode topk must be engine-agnostic too.
+    """--profiler-mode topk is ineligible for replay.
 
-    Sketch modes disable the converged-replay cutover, so both engines
+    Sketch modes disable the converged-replay cutover, so both sides
     drive full-fidelity ingestion through the same sketch state machine;
     the parity oracle pins that the space-saving promotion order (and
     everything downstream of the estimated counts) matches bit for bit.
     """
 
     def test_topk_mode(self):
-        report = run_engine_parity(
+        report = run_replay_parity(
             "hedwig",
             "DCA-10%",
             duration_minutes=PARITY_DURATION,
@@ -139,34 +158,54 @@ class TestProfilerModeParity:
             profiler_topk=64,
         )
         _assert_ok(report)
+        assert report.replay_engaged is None
 
 
 class TestParallelRunnerParity:
     def test_workers_compose_with_event_engine(self, tmp_path):
-        """run_all_managers(workers=2) is engine-agnostic, bit for bit."""
+        """run_all_managers(workers=2) gives the same runs with replay on and off."""
         from repro.apps.catalog import load_scenario
 
         managers = ("CloudWatch", "DCA-10%")
         runs = {}
         snapshots = {}
-        for engine in ("tick", "event"):
+        for side, replay in (("live", False), ("replay", True)):
             registry = MetricsRegistry()
             config = ExperimentConfig(
-                duration_minutes=40, seed=7, engine=engine
+                duration_minutes=40, seed=7, sim=SimulationConfig(replay=replay)
             )
-            runs[engine] = run_all_managers(
+            runs[side] = run_all_managers(
                 load_scenario("hedwig"),
                 managers=managers,
                 config=config,
                 workers=2,
                 registry=registry,
             )
-            snapshots[engine] = registry.snapshot()
+            snapshots[side] = registry.snapshot()
         for name in managers:
-            diffs = diff_results(runs["tick"][name], runs["event"][name])
+            diffs = diff_results(runs["live"][name], runs["replay"][name])
             assert not diffs, f"{name}: {diffs}"
-        diffs = diff_snapshots(snapshots["tick"], snapshots["event"])
+        diffs = diff_snapshots(snapshots["live"], snapshots["replay"])
         assert not diffs, diffs
+
+
+class TestOracleGuard:
+    """The parity oracle must compare live ingestion against replay."""
+
+    def test_oracle_side_never_builds_an_ingestor(self, monkeypatch):
+        built = []
+        original = ReplayIngestor.__init__
+
+        def spy(self, sim, active_classes=None):
+            built.append(sim.config.replay)
+            original(self, sim, active_classes=active_classes)
+
+        monkeypatch.setattr(ReplayIngestor, "__init__", spy)
+        report = run_replay_parity("hedwig", "DCA-10%", duration_minutes=120)
+        _assert_ok(report)
+        assert built == [True], "only the replay side may build an ingestor"
+        assert report.replay_engaged is True
+        assert report.replayed_executions > 0
 
 
 class TestDiffArtifact:
@@ -174,14 +213,12 @@ class TestDiffArtifact:
         """A diverging run must leave an inspectable artifact behind."""
         import json
 
-        from repro.sim import parity as parity_mod
-
         report = parity_mod.ParityReport(
             scenario="hedwig",
             manager="DCA-10%",
             seed=7,
             duration_minutes=10,
-            record_diffs=["interval[0].external_arrivals: tick=1.0 event=2.0"],
+            record_diffs=["interval[0].external_arrivals: live=1.0 replay=2.0"],
         )
         path = parity_mod._dump_report(report, str(tmp_path))
         assert path is not None and os.path.exists(path)
@@ -190,15 +227,13 @@ class TestDiffArtifact:
         assert payload["record_diffs"]
 
     def test_env_var_controls_dump_dir(self, tmp_path, monkeypatch):
-        from repro.sim import parity as parity_mod
-
         monkeypatch.setenv(parity_mod.PARITY_DIFF_DIR_ENV, str(tmp_path))
         report = parity_mod.ParityReport(
             scenario="zookeeper",
             manager="HTrace+CW",
             seed=3,
             duration_minutes=5,
-            snapshot_diffs=["metric x: tick=1 event=2"],
+            snapshot_diffs=["metric x: live=1 replay=2"],
         )
         path = parity_mod._dump_report(report, None)
         assert path is not None

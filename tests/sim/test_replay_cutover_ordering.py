@@ -69,7 +69,6 @@ class TestFreezeOrdering:
             duration_minutes=40,
             seed=11,
             sim=sim_config,
-            engine="event",
             num_shards=4,
             write_batch_size=32,
         )
@@ -78,7 +77,7 @@ class TestFreezeOrdering:
         )
         simulator.run()
 
-        ingestor = simulator.event_runner.ingestor
+        ingestor = simulator.ingestor
         assert ingestor is not None and ingestor.replaying
         drains = [entry for entry in log if entry[0] == "drain"]
         assert len(drains) == 1

@@ -3,10 +3,9 @@
 Two fast paths ship together and these are their acceptance gates:
 
 * **Converged replay over sharded/batched stores** — 25 seeds of the
-  fault-free DCA scenario at ``--shards 4 --batch-size 32 --engine
-  event`` must each engage the cutover *and* stay bit-identical to the
-  tick oracle (the :func:`~repro.sim.parity.run_engine_parity` report
-  is the oracle).
+  fault-free DCA scenario at ``--shards 4 --batch-size 32`` must each
+  engage the cutover *and* stay bit-identical to live ingestion (the
+  :func:`~repro.sim.parity.run_replay_parity` report is the oracle).
 * **Merged per-worker sketches** — ``--workers 4 --profiler-mode
   topk`` must run without any exact-mode fallback, and the merged
   top-k counts must sit within
@@ -24,7 +23,7 @@ import pytest
 from repro.apps.catalog import load_scenario
 from repro.evalx.experiment import ExperimentConfig, MergedProfile, run_all_managers
 from repro.profiling.sketches import HOT_PATH_PROBABILITY_EPSILON
-from repro.sim.parity import run_engine_parity
+from repro.sim.parity import run_replay_parity
 from repro.telemetry import MetricsRegistry
 
 SEEDS = range(25)
@@ -44,7 +43,7 @@ class TestShardedBatchedReplayBitIdentity:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_cutover_engages_and_matches_tick_oracle(self, seed):
-        report = run_engine_parity(
+        report = run_replay_parity(
             "marketcetera",
             "DCA-100%",
             duration_minutes=24,
@@ -58,7 +57,7 @@ class TestShardedBatchedReplayBitIdentity:
         assert report.replayed_executions > 0
 
     def test_batched_unsharded_also_engages(self):
-        report = run_engine_parity(
+        report = run_replay_parity(
             "marketcetera",
             "DCA-100%",
             duration_minutes=24,
@@ -71,7 +70,7 @@ class TestShardedBatchedReplayBitIdentity:
         assert report.replay_engaged
 
     def test_sharded_unbatched_also_engages(self):
-        report = run_engine_parity(
+        report = run_replay_parity(
             "marketcetera",
             "DCA-100%",
             duration_minutes=24,
@@ -90,7 +89,6 @@ def _topk_sweep(workers):
     config = ExperimentConfig(
         duration_minutes=40,
         seed=7,
-        engine="event",
         num_shards=4,
         write_batch_size=32,
         profiler_mode="topk",

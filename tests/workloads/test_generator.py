@@ -76,26 +76,3 @@ class TestArrivals:
 
     def test_class_list_sorted(self):
         assert [c.name for c in _generator().class_list()] == ["a", "b"]
-
-
-class TestArrivalsSeries:
-    """The event engine precomputes arrivals; the batch API must match."""
-
-    def test_series_equals_per_call_draws(self):
-        times = [float(t) for t in range(30)]
-        series = _generator(seed=5).arrivals_series(times)
-        g = _generator(seed=5)
-        per_call = [g.arrivals(t) for t in times]
-        assert series == per_call
-
-    def test_series_consumes_rng_in_order(self):
-        """Drawing the series leaves the RNG where sequential calls would."""
-        g1 = _generator(seed=8)
-        g2 = _generator(seed=8)
-        g1.arrivals_series([float(t) for t in range(10)])
-        for t in range(10):
-            g2.arrivals(float(t))
-        assert g1.arrivals(10.0) == g2.arrivals(10.0)
-
-    def test_empty_series(self):
-        assert _generator().arrivals_series([]) == []

@@ -244,13 +244,12 @@ class DirectCausalityTracker:
         ``batched_writes``, batch-size histograms) is a deterministic
         function of the converged trace shape, and the buffers are empty
         at the cutover.  Shard routing is uid-hash-dependent, but no
-        non-volatile metric is keyed per shard: hash-variant aggregates
-        (``cross_partition_edges``) are declared volatile, and anything
-        else that failed to settle would merely hold the convergence
-        streak at zero rather than diverge after a freeze.  The replay
-        ingestor additionally fingerprints the pipeline/dead-letter
-        residue each execution leaves behind and drains the pipeline
-        (journal included) before freezing — see
+        metric is keyed per shard, and anything that failed to settle
+        would merely hold the convergence streak at zero rather than
+        diverge after a freeze.  The replay ingestor additionally
+        fingerprints the pipeline/dead-letter residue each execution
+        leaves behind and drains the pipeline (journal included) before
+        freezing — see
         :meth:`drain_pipeline` and :mod:`repro.sim.events`.
         """
         if not self._plain_path:

@@ -1,8 +1,10 @@
-"""Partitioned causal-graph store (Apache Titan substitute).
+"""Causal-graph store (Apache Titan substitute).
 
-The store facade is backend-pluggable (:mod:`repro.graphstore.backend`):
-in-process memory (default), a crash-safe append-only segment log, or a
-process-shared store server (:mod:`repro.graphstore.shared`).
+Each DCA tracker owns one in-process :class:`GraphStore` (uid-indexed
+nodes in one dict), optionally split by root uid across a
+:class:`ShardedGraphStore`.  The store is backend-pluggable
+(:mod:`repro.graphstore.backend`): in-process memory (default) or a
+crash-safe append-only segment log.
 """
 
 from repro.graphstore.backend import (

@@ -1,4 +1,4 @@
-"""Pluggable graph-store backends: in-memory, append-only log, shared.
+"""Pluggable graph-store backends: in-memory and append-only log.
 
 The paper offloads causal graphs to an external store (Apache Titan)
 precisely so provenance capture is not bounded by one process's RAM and
@@ -16,11 +16,6 @@ narrow :class:`GraphStoreBackend` protocol behind the existing
   sequence; reopening the directory replays the log to rebuild the
   exact store state, so experiments survive restarts and stores larger
   than RAM stream from disk through ``mmap`` during recovery.
-* The **shared** backend lives in :mod:`repro.graphstore.shared`: a
-  multiprocessing store server reached over a Unix socket, so parallel
-  experiment workers operate on one store instead of merging snapshots.
-  It is a full store facade (not a journal), hence not constructed via
-  :func:`make_backend`.
 
 On-disk format (``log`` backend)
 --------------------------------
@@ -77,7 +72,7 @@ from repro.lang.message import Message, MessageUid
 from repro.telemetry import MetricsRegistry, get_registry
 
 #: The selectable backend kinds (`--store-backend`).
-BACKENDS = ("memory", "log", "shared")
+BACKENDS = ("memory", "log")
 
 #: Segment-file constants (see the module docstring for the layout).
 SEGMENT_MAGIC = b"RGSL"
@@ -764,12 +759,7 @@ def make_backend(
     registry: Optional[MetricsRegistry] = None,
     **log_options,
 ) -> GraphStoreBackend:
-    """Build one backend for a single (non-sharded) store.
-
-    ``shared`` is not constructible here — it is a store *facade*
-    (:class:`repro.graphstore.shared.SharedGraphStoreClient`), not a
-    journal behind a local store.
-    """
+    """Build one backend for a single (non-sharded) store."""
     if kind == "memory":
         return MemoryBackend()
     if kind == "log":
@@ -777,11 +767,6 @@ def make_backend(
             raise StoreBackendError("the log backend requires --store-dir")
         return LogBackend(
             store_dir, create=create, registry=registry, **log_options
-        )
-    if kind == "shared":
-        raise StoreBackendError(
-            "the shared backend is a store facade — build it via "
-            "repro.graphstore.shared, not make_backend()"
         )
     raise StoreBackendError(f"unknown store backend {kind!r}; choose from {BACKENDS}")
 
@@ -808,5 +793,5 @@ def shard_backends(
             for index in range(num_shards)
         ]
     raise StoreBackendError(
-        f"cannot build per-shard {kind!r} backends; choose from ('memory', 'log')"
+        f"cannot build per-shard {kind!r} backends; choose from {BACKENDS}"
     )

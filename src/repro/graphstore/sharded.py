@@ -6,9 +6,9 @@ single :class:`~repro.graphstore.store.GraphStore` reproduces the hash
 *index*; this module reproduces the *scale-out*: a
 :class:`ShardedGraphStore` partitions whole causal graphs across
 ``num_shards`` independent ``GraphStore`` instances, routed by the
-**root uid** of each message through the same
-:class:`~repro.graphstore.partition.HashPartitioner` (and therefore the
-same cached crc32) the in-store partitioning already uses.
+**root uid** of each message through a
+:class:`~repro.graphstore.partition.HashPartitioner` (a crc32 cached on
+the uid).
 
 Routing rule
 ------------
@@ -38,11 +38,8 @@ Maintenance fan-out
 Reads by bare uid (``get_node``, ``root_of``, edge iteration) fan out
 across shards; per-root operations route.  Whole-store maintenance —
 :meth:`repair_dangling_edges` and the abandonment sweep
-(:meth:`abandon_roots`) — fans out shard by shard, optionally on a
-thread pool (``maintenance_workers``).  Shards never touch each other's
-state, so the only shared mutable surface under threaded maintenance is
-the telemetry registry — use a ``thread_safe`` registry
-(:class:`~repro.telemetry.MetricsRegistry`) when enabling it.
+(:meth:`abandon_roots`) — visits the shards one by one in shard-index
+order.
 """
 
 from __future__ import annotations
@@ -61,11 +58,6 @@ from repro.graphstore.store import (
 from repro.lang.message import Message, MessageUid
 from repro.telemetry import MetricsRegistry, get_registry
 
-try:  # pragma: no cover - stdlib, but keep import-failure graceful
-    from concurrent.futures import ThreadPoolExecutor
-except ImportError:  # pragma: no cover
-    ThreadPoolExecutor = None  # type: ignore[assignment]
-
 
 class ShardedGraphStore:
     """``num_shards`` independent :class:`GraphStore` shards, routed by root uid.
@@ -81,9 +73,6 @@ class ShardedGraphStore:
     ----------
     num_shards:
         Number of independent stores (>= 1).
-    num_partitions:
-        Hash partitions *inside* each shard (the Titan-style node
-        index), forwarded to each :class:`GraphStore`.
     on_path_complete / registry:
         As for :class:`GraphStore`.  All shards report into the same
         registry, so the ``graphstore.*`` counters aggregate across the
@@ -93,10 +82,6 @@ class ShardedGraphStore:
         **before** routing (the shards themselves are built fault-free),
         so the injected-failure decision stream is identical to a single
         store's regardless of the shard count.
-    maintenance_workers:
-        When > 1, :meth:`repair_dangling_edges` and
-        :meth:`abandon_roots` fan out over shards on a thread pool of
-        this size.  Pair with a thread-safe telemetry registry.
     backends:
         Optional per-shard :class:`~repro.graphstore.backend.GraphStoreBackend`
         list (one per shard, e.g. from
@@ -108,11 +93,9 @@ class ShardedGraphStore:
     def __init__(
         self,
         num_shards: int = 4,
-        num_partitions: int = 4,
         on_path_complete: Optional[Callable[[MessageUid], None]] = None,
         registry: Optional[MetricsRegistry] = None,
         fault_injector=None,
-        maintenance_workers: int = 0,
         backends: Optional[Sequence[GraphStoreBackend]] = None,
     ) -> None:
         if num_shards < 1:
@@ -126,13 +109,11 @@ class ShardedGraphStore:
         self._shard_of = self._router.partition_of
         self.telemetry = registry if registry is not None else get_registry()
         self.fault_injector = fault_injector
-        self.maintenance_workers = int(maintenance_workers)
         self._path_complete_subscribers: List[Callable[[MessageUid], None]] = []
         if on_path_complete is not None:
             self._path_complete_subscribers.append(on_path_complete)
         self.shards: List[GraphStore] = [
             GraphStore(
-                num_partitions=num_partitions,
                 registry=self.telemetry,
                 fault_injector=None,
                 backend=backends[index] if backends is not None else None,
@@ -146,7 +127,6 @@ class ShardedGraphStore:
         # the whole fleet's traffic).
         self._m_nodes = self.telemetry.counter("graphstore.nodes_added")
         self._m_edges = self.telemetry.counter("graphstore.edges_added")
-        self._m_cross = self.telemetry.counter("graphstore.cross_partition_edges")
         self._m_lookups = self.telemetry.counter("graphstore.index_lookups")
         self._m_cross_shard_reads = self.telemetry.counter("graphstore.cross_shard_reads")
         # Handles the BFS query path expects on any store-like object.
@@ -156,7 +136,6 @@ class ShardedGraphStore:
             "graphstore.extracted_graph_size_nodes", buckets=GRAPH_SIZE_BUCKETS
         )
         self._base_edges = self._m_edges.value
-        self._base_cross = self._m_cross.value
         self._base_lookups = self._m_lookups.value
 
     # -- routing -----------------------------------------------------------------
@@ -192,10 +171,6 @@ class ShardedGraphStore:
     def edge_count(self) -> int:
         """Edges recorded through this facade (all shards)."""
         return int(self._m_edges.value - self._base_edges)
-
-    @property
-    def cross_partition_edges(self) -> int:
-        return int(self._m_cross.value - self._base_cross)
 
     @property
     def index_lookups(self) -> int:
@@ -325,33 +300,27 @@ class ShardedGraphStore:
         return self.shards[self._shard_of(root)].abandon_root(root)
 
     def abandon_roots(self, roots: Iterable[MessageUid]) -> int:
-        """Abandon many roots in one sweep, grouped (and fanned out) per shard.
+        """Abandon many roots in one sweep, grouped per shard.
 
-        Each shard's O(stored nodes) scan runs once per sweep instead of
-        once per root; with ``maintenance_workers`` > 1 the per-shard
-        sweeps run concurrently.  Returns total nodes removed.
+        Roots are grouped by owning shard and each shard's group is
+        abandoned in shard-index order.  Returns total nodes removed.
         """
         by_shard: List[List[MessageUid]] = [[] for _ in self.shards]
         for root in roots:
             by_shard[self._shard_of(root)].append(root)
-
-        def sweep(index: int) -> int:
-            shard = self.shards[index]
-            removed = 0
-            for root in by_shard[index]:
+        removed = 0
+        for shard, group in zip(self.shards, by_shard):
+            for root in group:
                 removed += shard.abandon_root(root)
-            return removed
-
-        busy = [i for i, group in enumerate(by_shard) if group]
-        return sum(self._fan_out(sweep, busy))
+        return removed
 
     def repair_dangling_edges(self) -> int:
         """Run the dangling-edge sweep on every shard (fan-out)."""
-        def repair(index: int) -> int:
-            return self.shards[index].repair_dangling_edges()
-
-        dirty = [i for i, shard in enumerate(self.shards) if shard._dangling_effects]
-        return sum(self._fan_out(repair, dirty))
+        return sum(
+            shard.repair_dangling_edges()
+            for shard in self.shards
+            if shard._dangling_effects
+        )
 
     # -- backend lifecycle ---------------------------------------------------------
 
@@ -378,18 +347,3 @@ class ShardedGraphStore:
         """Flush and close every shard's backend (idempotent)."""
         for shard in self.shards:
             shard.close()
-
-    def _fan_out(self, fn: Callable[[int], int], indexes: Sequence[int]) -> List[int]:
-        """Apply ``fn`` to each shard index, threaded when configured.
-
-        Shards share no mutable state with each other, so per-shard
-        maintenance is safe to run concurrently; only the telemetry
-        registry is shared (use a thread-safe registry with workers).
-        """
-        if not indexes:
-            return []
-        workers = self.maintenance_workers
-        if workers > 1 and len(indexes) > 1 and ThreadPoolExecutor is not None:
-            with ThreadPoolExecutor(max_workers=min(workers, len(indexes))) as pool:
-                return list(pool.map(fn, indexes))
-        return [fn(index) for index in indexes]

@@ -1,4 +1,4 @@
-"""In-memory partitioned property-graph store for causal edges.
+"""In-memory property-graph store for causal edges.
 
 Substitute for Apache Titan (Section IV-A of the paper): the store lives
 *outside* the application (in the simulation, on the monitoring host),
@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Mapp
 
 from repro.errors import GraphStoreError, StoreBackendError, TransientStoreError
 from repro.graphstore.backend import GraphStoreBackend, MemoryBackend
-from repro.graphstore.partition import HashPartitioner
 from repro.lang.ir import CLIENT
 from repro.lang.message import Message, MessageUid
 from repro.telemetry import MetricsRegistry, get_registry
@@ -127,12 +126,10 @@ class _RootAccumulator:
 
 
 class GraphStore:
-    """Distributed-flavoured causal-graph store with a uid hash index.
+    """Causal-graph store with a uid hash index.
 
     Parameters
     ----------
-    num_partitions:
-        Number of hash partitions (Titan would shard similarly).
     on_path_complete:
         Callback invoked with the *root uid* whenever a response node is
         inserted, signalling that the causal graph rooted there can be
@@ -141,8 +138,8 @@ class GraphStore:
     registry:
         Telemetry registry the store reports into (the process default
         when omitted).  Legacy per-instance tallies (``edge_count``,
-        ``index_lookups``, ``cross_partition_edges``) are exposed as
-        baseline-delta properties over the shared counters.
+        ``index_lookups``) are exposed as baseline-delta properties over
+        the shared counters.
     fault_injector:
         Optional :class:`~repro.faults.injector.FaultInjector`.  When its
         write-failure channel fires, :meth:`add_message` raises
@@ -160,15 +157,12 @@ class GraphStore:
 
     def __init__(
         self,
-        num_partitions: int = 4,
         on_path_complete: Optional[Callable[[MessageUid], None]] = None,
         registry: Optional[MetricsRegistry] = None,
         fault_injector: Optional["FaultInjector"] = None,
         backend: Optional[GraphStoreBackend] = None,
     ) -> None:
-        self._partitioner = HashPartitioner(num_partitions)
-        self._partition_of = self._partitioner.partition_of
-        self._partitions: List[Dict[MessageUid, GraphNode]] = [dict() for _ in range(num_partitions)]
+        self._nodes: Dict[MessageUid, GraphNode] = {}
         self._out_edges: Dict[MessageUid, Set[MessageUid]] = {}
         self._in_edges: Dict[MessageUid, Set[MessageUid]] = {}
         self._roots: Dict[MessageUid, MessageUid] = {}
@@ -197,7 +191,6 @@ class GraphStore:
         self.telemetry = registry if registry is not None else get_registry()
         self._m_nodes = self.telemetry.counter("graphstore.nodes_added")
         self._m_edges = self.telemetry.counter("graphstore.edges_added")
-        self._m_cross = self.telemetry.counter("graphstore.cross_partition_edges")
         self._m_lookups = self.telemetry.counter("graphstore.index_lookups")
         self._m_evictions = self.telemetry.counter("graphstore.evictions")
         self._m_evicted_nodes = self.telemetry.counter("graphstore.evicted_nodes")
@@ -214,7 +207,6 @@ class GraphStore:
             "graphstore.extracted_graph_size_nodes", buckets=GRAPH_SIZE_BUCKETS
         )
         self._base_edges = self._m_edges.value
-        self._base_cross = self._m_cross.value
         self._base_lookups = self._m_lookups.value
 
     # -- subscriptions -----------------------------------------------------------
@@ -238,11 +230,6 @@ class GraphStore:
     def edge_count(self) -> int:
         """Edges recorded by *this* store instance."""
         return int(self._m_edges.value - self._base_edges)
-
-    @property
-    def cross_partition_edges(self) -> int:
-        """Edges of this instance whose endpoints hash to different partitions."""
-        return int(self._m_cross.value - self._base_cross)
 
     @property
     def index_lookups(self) -> int:
@@ -274,8 +261,7 @@ class GraphStore:
         # Node metadata beyond the message triple lives in side indexes
         # (``root_of``); no per-node info dict is allocated on this path.
         node = GraphNode(uid, message.msg_type, message.src, message.dest)
-        uid_partition = self._partition_of(uid)
-        self._partitions[uid_partition][uid] = node
+        self._nodes[uid] = node
         self._m_nodes.inc()
         self._roots[uid] = root
         if self._dangling_effects:
@@ -313,8 +299,8 @@ class GraphStore:
         causes = message.cause_uids
         if causes:
             # Inlined add_edge loop: the effect node (this one) is known
-            # to be present, its partition is already hashed, and the
-            # edge counters are batched per message instead of per edge.
+            # to be present, and the edge counter is batched per message
+            # instead of per edge.
             out_edges = self._out_edges
             reach_index = self._reach
             inn = self._in_edges.get(uid)
@@ -325,7 +311,6 @@ class GraphStore:
             # no-cascade fast path is decided once.
             uid_succs = out_edges.get(uid)
             triple = (node.src, node.msg_type, node.dest)
-            cross = 0
             for cause in causes:
                 if cause._hash == uid._hash and cause == uid:
                     raise GraphStoreError(f"self-causation edge on {cause}")
@@ -334,8 +319,6 @@ class GraphStore:
                     out_edges[cause] = out = set()
                 out.add(uid)
                 inn.add(cause)
-                if self._partition_of(cause) != uid_partition:
-                    cross += 1
                 cause_reach = reach_index.get(cause)
                 if cause_reach:
                     new = cause_reach if not reach else cause_reach - reach
@@ -353,8 +336,6 @@ class GraphStore:
                                 acc.edges[triple] = None
                                 acc.members.append(uid)
             self._m_edges.inc(len(causes))
-            if cross:
-                self._m_cross.inc(cross)
         if self._journal_write is not None:
             # Journal after the mutation landed and before completion
             # subscribers run (a subscriber may journal an eviction).
@@ -403,8 +384,6 @@ class GraphStore:
             self._in_edges[effect] = inn = set()
         inn.add(cause)
         self._m_edges.inc()
-        if self._partition_of(cause) != self._partition_of(effect):
-            self._m_cross.inc()
         if self._journal is not None:
             self._journal.journal_edge(cause, effect)
         effect_reach = self._reach.get(effect)
@@ -472,18 +451,18 @@ class GraphStore:
 
     def _node_at(self, uid: MessageUid) -> Optional[GraphNode]:
         """Internal node fetch that does not count as an index lookup."""
-        return self._partitions[self._partition_of(uid)].get(uid)
+        return self._nodes.get(uid)
 
     # -- reads ------------------------------------------------------------------
 
     def get_node(self, uid: MessageUid) -> Optional[GraphNode]:
         """O(1) hash-index lookup of a node by uid."""
         self._m_lookups.inc()
-        return self._partitions[self._partition_of(uid)].get(uid)
+        return self._nodes.get(uid)
 
     def contains(self, uid: MessageUid) -> bool:
         """Whether ``uid``'s node is stored (no index-lookup accounting)."""
-        return self._partitions[self._partition_of(uid)].get(uid) is not None
+        return uid in self._nodes
 
     def require_node(self, uid: MessageUid) -> GraphNode:
         node = self.get_node(uid)
@@ -516,15 +495,14 @@ class GraphStore:
         return iter(self._in_edges.get(uid, ()))
 
     def node_count(self) -> int:
-        return sum(len(p) for p in self._partitions)
+        return len(self._nodes)
 
     def root_of(self, uid: MessageUid) -> Optional[MessageUid]:
         """Root (external request) uid recorded for ``uid``, if any."""
         return self._roots.get(uid)
 
     def all_uids(self) -> Iterable[MessageUid]:
-        for part in self._partitions:
-            yield from part.keys()
+        yield from self._nodes
 
     # -- incremental signatures ---------------------------------------------------
 
@@ -663,14 +641,12 @@ class GraphStore:
 
     def _remove_all(self, uids: Iterable[MessageUid]) -> int:
         removed = 0
-        partitions = self._partitions
-        partition_of = self._partition_of
+        nodes = self._nodes
         roots = self._roots
         reach_index = self._reach
         accumulators = self._accumulators
         for uid in uids:
-            part = partitions[partition_of(uid)]
-            if part.pop(uid, None) is None:
+            if nodes.pop(uid, None) is None:
                 continue  # never stored, or already swept by an overlapping graph
             removed += 1
             self._unlink_edges(uid)

@@ -55,8 +55,7 @@ class MessageUid:
 
     def __reduce__(self):
         # The immutable __setattr__ breaks the default slot-state
-        # unpickling; rebuild through __init__ instead (the shared-store
-        # backend ships uids across a multiprocessing proxy boundary).
+        # unpickling; rebuild through __init__ instead.
         return (MessageUid, (self.address, self.process_id, self.seq))
 
     def __hash__(self) -> int:

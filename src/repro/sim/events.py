@@ -29,10 +29,6 @@ replay capture:
 
 * keys whose base name ends in ``_seconds``: wall-clock timer
   histograms; they measure the host, not the simulation;
-* ``graphstore.cross_partition_edges``: a uid-hash *layout* diagnostic
-  whose value depends on stale provenance uids retained by capped
-  per-node cause sets — it varies a few counts per execution forever
-  and cannot converge by design;
 * ``graphstore.backend_*``: persistence-seam diagnostics.
 
 Warmup and cutover
@@ -95,7 +91,6 @@ REPLAY_CONVERGENCE_STREAK = 48
 
 #: Registry keys excluded from parity comparison and replay capture
 #: (see module docstring for why).
-VOLATILE_METRIC_KEYS = frozenset({"graphstore.cross_partition_edges"})
 VOLATILE_METRIC_SUFFIX = "_seconds"
 #: Backend diagnostics (flush/fsync/rotation/byte counters) are a
 #: property of the persistence seam, not the simulated run; every
@@ -136,7 +131,6 @@ def is_volatile_metric_key(key: str) -> bool:
     return (
         base.endswith(VOLATILE_METRIC_SUFFIX)
         or base.startswith(VOLATILE_METRIC_PREFIX)
-        or base in VOLATILE_METRIC_KEYS
     )
 
 

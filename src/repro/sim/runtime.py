@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Tuple
 
 from repro.core.dca import DCAResult
 from repro.core.instrument import InstrumentedComponent, OverheadModel
@@ -40,8 +40,13 @@ class RequestTrace:
     depth: int
 
     @property
-    def components(self) -> Set[str]:
-        return set(self.component_messages)
+    def components(self) -> AbstractSet[str]:
+        """Components the request touched, in first-message order.
+
+        A set-like view rather than a ``set``: float sums over it (SLA
+        latency) must not follow the interpreter's string-hash seed.
+        """
+        return self.component_messages.keys()
 
     def total_messages(self) -> int:
         return len(self.messages)

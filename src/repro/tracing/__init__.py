@@ -2,7 +2,6 @@
 
 from repro.tracing.clocks import LamportClock, VectorClock, VectorTimestamp
 from repro.tracing.htrace import HTraceCollector
-from repro.tracing.itc import Stamp
 from repro.tracing.spans import Span, SpanId, TemporalSpanTracer
 
 __all__ = [
@@ -10,7 +9,6 @@ __all__ = [
     "LamportClock",
     "Span",
     "SpanId",
-    "Stamp",
     "TemporalSpanTracer",
     "VectorClock",
     "VectorTimestamp",

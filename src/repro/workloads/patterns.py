@@ -182,7 +182,9 @@ class StepMixSchedule:
             return prev_mix
         frac = (t_minutes - prev.start_minute) / span
         next_mix = self._normalised(nxt)
-        names = set(prev_mix) | set(next_mix)
+        # Ordered union: the normalising sum below must not follow the
+        # interpreter's string-hash seed.
+        names = dict.fromkeys([*prev_mix, *next_mix])
         blended = {
             name: (1 - frac) * prev_mix.get(name, 0.0) + frac * next_mix.get(name, 0.0)
             for name in names

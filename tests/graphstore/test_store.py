@@ -1,4 +1,4 @@
-"""Unit tests for the partitioned causal-graph store."""
+"""Unit tests for the causal-graph store and its root partitioner."""
 
 import pytest
 
@@ -116,17 +116,6 @@ class TestGraphStore:
         store.add_message(b)
         store.evict_graph(a.uid)
         assert store.get_node(b.uid) is not None
-
-    def test_cross_partition_edge_counter(self):
-        store = GraphStore(num_partitions=2)
-        msgs = [_msg(i) for i in range(1, 30)]
-        prev = None
-        for m in msgs:
-            if prev is not None:
-                m = m.with_causes(frozenset({prev.uid}))
-            store.add_message(m)
-            prev = m
-        assert 0 < store.cross_partition_edges <= store.edge_count
 
     def test_index_lookup_counter(self):
         store = GraphStore()

@@ -32,12 +32,11 @@ def _simulator(backend, tmp_path):
 
 def test_supports_snapshot_replay_is_backend_gated(tmp_path):
     assert _simulator("memory", tmp_path).dca.tracker.supports_snapshot_replay
-    for backend in ("log", "shared"):
-        simulator = _simulator(backend, tmp_path)
-        try:
-            assert not simulator.dca.tracker.supports_snapshot_replay, backend
-        finally:
-            simulator.dca.tracker.store.close()
+    simulator = _simulator("log", tmp_path)
+    try:
+        assert not simulator.dca.tracker.supports_snapshot_replay
+    finally:
+        simulator.dca.tracker.store.close()
 
 
 def test_replay_ingestor_refuses_journaling_backend(tmp_path):
